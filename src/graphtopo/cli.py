@@ -245,7 +245,8 @@ def _run_learn_glasso(args) -> int:
 
 
 def _learn_outputs(args, w: np.ndarray, l: np.ndarray, t0: float, command: str,
-                   metrics: dict, plot_series: dict | None = None) -> int:
+                   metrics: dict, plot_series: dict | None = None,
+                   converged: bool | None = None) -> int:
     io.write_matrix_csv(args.out_l, l)
     io.write_matrix_csv(args.out_w, w)
     if args.truth:
@@ -255,7 +256,7 @@ def _learn_outputs(args, w: np.ndarray, l: np.ndarray, t0: float, command: str,
         iu = np.triu_indices(w.shape[0], k=1)
         plot_series = {"weight": w[iu]}
     return _finish(args, command, {"laplacian": args.out_l, "weights": args.out_w},
-                   t0=t0, metrics=metrics, plot_series=plot_series)
+                   t0=t0, converged=converged, metrics=metrics, plot_series=plot_series)
 
 
 def _run_learn_regress(args) -> int:
@@ -263,10 +264,13 @@ def _run_learn_regress(args) -> int:
     x = io.read_matrix_csv(args.obs)
     if args.dry_run:
         return _dry_run_ok("learn regress")
-    b = neighborhood_regression(x, args.rho, max_iter=args.max_iter, tol=args.tol)
+    details: dict = {}
+    b = neighborhood_regression(x, args.rho, max_iter=args.max_iter, tol=args.tol,
+                                report=details)
     g = symmetrize_geometric(b, clamp_negative=args.clamp_negative)
     return _learn_outputs(args, g.w, laplacian(g).l, t0, "learn regress",
-                          {"rho": args.rho})
+                          {"rho": args.rho, "unconverged_rows": details["unconverged_rows"]},
+                          converged=details["converged"])
 
 
 def _run_learn_smooth(args) -> int:

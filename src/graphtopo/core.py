@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
+from scipy.sparse import csgraph
 
 __all__ = [
     "SYM_TOL",
@@ -22,6 +23,7 @@ __all__ = [
     "SourceVector",
     "NumericalError",
     "RankDeficiencyWarning",
+    "connected_components",
     "laplacian",
     "eig_sym",
     "pseudo_inverse",
@@ -233,6 +235,18 @@ class SourceVector:
         i = i.copy()
         i.flags.writeable = False
         object.__setattr__(self, "i", i)
+
+
+def connected_components(w) -> list[list[int]]:
+    """Vertex sets of the connected components of the skeleton W > 0.
+
+    Each component is sorted and the components are ordered by their
+    smallest vertex; an isolated vertex is a component of its own.
+    """
+    w = _as_square(w, "weight matrix")
+    count, labels = csgraph.connected_components(w > 0, directed=False)
+    comps = [np.flatnonzero(labels == k).tolist() for k in range(count)]
+    return sorted(comps, key=lambda c: c[0])
 
 
 def laplacian(g: Graph, kind: LaplacianKind = "combinatorial",

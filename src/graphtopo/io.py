@@ -85,13 +85,13 @@ def read_vector_csv(path) -> np.ndarray:
     return m.reshape(-1)
 
 
-def graph_to_json(g: Graph) -> str:
-    edges = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            w = g.w[i, j]
-            if w > 0:
-                edges.append([i, j, float(w)])
+def graph_to_json(g: Graph | DirectedGraph) -> str:
+    """An undirected edge is written once, as [i, j, w] with i < j; every
+    edge of a DirectedGraph is written as an ordered pair [from, to, w]."""
+    mask = g.w > 0
+    if not isinstance(g, DirectedGraph):
+        mask = np.triu(mask, 1)
+    edges = [[int(i), int(j), float(g.w[i, j])] for i, j in np.argwhere(mask)]
     return json.dumps({"n": g.n, "edges": edges}, indent=None, separators=(",", ":"))
 
 
@@ -118,7 +118,7 @@ def directed_graph_from_json(text: str) -> DirectedGraph:
     return DirectedGraph.from_weights(_weights_from_json(text, directed=True))
 
 
-def write_graph_json(path, g: Graph) -> None:
+def write_graph_json(path, g: Graph | DirectedGraph) -> None:
     atomic_write_text(path, graph_to_json(g) + "\n")
 
 

@@ -115,25 +115,32 @@ def correlation_matrix(x, center: bool | None = None) -> np.ndarray:
 
 
 def neighborhood_regression(x, rho: float, max_iter: int = 1000,
-                            tol: float = 1e-8) -> BetaMatrix:
+                            tol: float = 1e-8, report: dict | None = None) -> BetaMatrix:
     """Regress each vertex signal on all the others with an L1 penalty.
 
     Row n holds the coefficients of the remaining vertices in their original
-    order; the diagonal stays zero.
+    order; the diagonal stays zero. A given ``report`` dict receives
+    ``converged`` (every row lasso converged) and ``unconverged_rows``.
     """
     arr, _ = _as_signal(x)
     n = arr.shape[0]
     b = np.zeros((n, n))
-    if n == 1:
-        return BetaMatrix(b)
-    cfg = LassoConfig(rho=rho, max_iter=max_iter, tol=tol)
-    for row in range(n):
-        others = np.delete(np.arange(n), row)
-        try:
-            res = lasso_ista(arr[others].T, arr[row], cfg)
-        except (ValueError, NumericalError) as exc:
-            raise type(exc)(f"vertex {row}: {exc}") from exc
-        b[row, others] = res.coefficients
+    unconverged: list[int] = []
+    # a single vertex has nothing to regress on
+    if n > 1:
+        cfg = LassoConfig(rho=rho, max_iter=max_iter, tol=tol)
+        for row in range(n):
+            others = np.delete(np.arange(n), row)
+            try:
+                res = lasso_ista(arr[others].T, arr[row], cfg)
+            except (ValueError, NumericalError) as exc:
+                raise type(exc)(f"vertex {row}: {exc}") from exc
+            b[row, others] = res.coefficients
+            if not res.converged:
+                unconverged.append(row)
+    if report is not None:
+        report["converged"] = not unconverged
+        report["unconverged_rows"] = unconverged
     return BetaMatrix(b)
 
 

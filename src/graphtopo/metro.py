@@ -12,8 +12,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
-from .core import Graph, Laplacian, NumericalError, pseudo_inverse
+from .core import Graph, Laplacian, NumericalError, connected_components, pseudo_inverse
 
 __all__ = ["FlowVector", "betweenness", "closeness_vitality", "fick_population"]
 
@@ -73,33 +74,13 @@ def betweenness(g: Graph) -> np.ndarray:
     return scores / 2.0
 
 
-def _hop_distances(adj: list[np.ndarray], n: int, start: int,
-                   alive: np.ndarray) -> np.ndarray:
-    dist = np.full(n, np.inf)
-    dist[start] = 0.0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if alive[u] and not np.isfinite(dist[u]):
-                dist[u] = dist[v] + 1.0
-                queue.append(int(u))
-    return dist
-
-
-def _finite_pair_sum(adj, n, alive) -> tuple[float, int]:
-    """Sum of finite pairwise hop distances and the count of finite pairs."""
-    total = 0.0
-    pairs = 0
-    for v in range(n):
-        if not alive[v]:
-            continue
-        dist = _hop_distances(adj, n, v, alive)
-        finite = np.isfinite(dist) & alive
-        finite[v] = False
-        total += float(dist[finite].sum())
-        pairs += int(np.count_nonzero(finite))
-    return total / 2.0, pairs // 2
+def _hop_pairs(hops: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """All-pairs hop distances, their finite pair sum and the finite pair count."""
+    dist = shortest_path(hops, unweighted=True, directed=False)
+    finite = np.isfinite(dist)
+    np.fill_diagonal(finite, False)
+    # hop counts are integers, so the float sum is exact in any order
+    return dist, float(dist[finite].sum()) / 2.0, int(np.count_nonzero(finite)) // 2
 
 
 def closeness_vitality(g: Graph) -> np.ndarray:
@@ -109,22 +90,21 @@ def closeness_vitality(g: Graph) -> np.ndarray:
     Pairs already unreachable in the base graph are ignored throughout.
     """
     n = g.n
-    adj = _neighbor_lists(g.w)
-    alive = np.ones(n, dtype=bool)
-    base_sum, base_pairs = _finite_pair_sum(adj, n, alive)
+    hops = g.w > 0
+    dist, base_sum, base_pairs = _hop_pairs(hops)
+    # base pairs that involve each vertex: its finite distances, itself excluded
+    reach = np.count_nonzero(np.isfinite(dist), axis=1) - 1
     out = np.zeros(n)
+    keep = np.ones(n, dtype=bool)
     for v in range(n):
-        alive[v] = False
-        reduced_sum, reduced_pairs = _finite_pair_sum(adj, n, alive)
-        # pairs not involving v that stayed finite in the base graph
-        base_without_v = base_pairs
-        dist_v = _hop_distances(adj, n, v, np.ones(n, dtype=bool))
-        base_without_v -= int(np.count_nonzero(np.isfinite(dist_v))) - 1
-        if reduced_pairs < base_without_v:
+        keep[v] = False
+        _, reduced_sum, reduced_pairs = _hop_pairs(hops[np.ix_(keep, keep)])
+        keep[v] = True
+        # pairs not involving v that were finite in the base graph
+        if reduced_pairs < base_pairs - reach[v]:
             out[v] = np.inf
         else:
             out[v] = base_sum - reduced_sum
-        alive[v] = True
     return out
 
 
@@ -140,16 +120,7 @@ def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
         raise ValueError("flow length does not match the graph")
     w = -np.asarray(l.l, dtype=float)
     np.fill_diagonal(w, 0.0)
-    seen = np.zeros(l.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in np.flatnonzero(w[v] > 0):
-            if not seen[u]:
-                seen[u] = True
-                stack.append(int(u))
-    if not np.all(seen):
+    if len(connected_components(w)) > 1:
         raise NumericalError("population estimate needs a connected graph")
     phi = -pseudo_inverse(l.l) @ q / k
     return phi - phi.min()

@@ -8,7 +8,8 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .core import DirectedGraph, Graph, Laplacian, NumericalError, SourceVector, laplacian, pseudo_inverse
+from .core import (DirectedGraph, Graph, Laplacian, NumericalError, SourceVector,
+                   connected_components, laplacian, pseudo_inverse)
 
 __all__ = [
     "BoundaryCondition",
@@ -59,30 +60,6 @@ class PageRankResult:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.scores, dtype=dtype)
-
-
-def _components(w: np.ndarray) -> list[list[int]]:
-    n = w.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in np.flatnonzero(w[v] > 0):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _is_connected(w: np.ndarray) -> bool:
-    return len(_components(w)) == 1
 
 
 def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarray:
@@ -169,7 +146,7 @@ def absorbing_probabilities(g: Graph, bc: BoundaryCondition) -> np.ndarray:
 
 def hitting_times(g: Graph, target: int) -> np.ndarray:
     """Expected steps for a random walker to first reach the target."""
-    if not _is_connected(g.w):
+    if len(connected_components(g.w)) > 1:
         raise NumericalError("hitting times are infinite on a disconnected graph")
     n = g.n
     if not 0 <= target < n:
@@ -218,7 +195,7 @@ def effective_resistance(g: Graph, m: int, n: int) -> float:
     """Two-point resistance (e_m - e_n)' L^+ (e_m - e_n)."""
     if m == n:
         return 0.0
-    if not _is_connected(g.w):
+    if len(connected_components(g.w)) > 1:
         raise NumericalError("effective resistance is infinite across components")
     lp = pseudo_inverse(laplacian(g).l)
     e = np.zeros(g.n)
@@ -241,7 +218,7 @@ def label_propagation(g: Graph, labels: BoundaryCondition,
     labeled = labels.indices(n)
     values = labels.values(n)
     labeled_set = set(labeled.tolist())
-    for comp in _components(w):
+    for comp in connected_components(w):
         if not labeled_set.intersection(comp):
             raise ValueError(f"component containing vertex {comp[0]} has no label")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, NumericalError, eig_sym, laplacian
+from .core import Graph, NumericalError, connected_components, eig_sym, laplacian
 
 __all__ = [
     "Bisection",
@@ -156,27 +156,6 @@ def cut_value(g: Graph, side, kind: str = "normalized") -> float:
     raise ValueError(f"unknown cut kind {kind!r}")
 
 
-def _components(w: np.ndarray) -> list[list[int]]:
-    n = w.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in np.flatnonzero(w[v] > 0):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        comps.append(sorted(comp))
-    return comps
-
-
 def spectral_bisect(g: Graph, kind: str = "normalized") -> Bisection:
     """Split a graph by the sign of its first nontrivial (generalized)
     Laplacian eigenvector; zero entries join the positive side.
@@ -188,7 +167,7 @@ def spectral_bisect(g: Graph, kind: str = "normalized") -> Bisection:
         raise ValueError(f"unknown cut kind {kind!r}")
     if g.n < 2:
         raise ValueError("cannot bisect a single vertex")
-    comps = _components(g.w)
+    comps = connected_components(g.w)
     if len(comps) > 1:
         side_one = tuple(comps[0])
         side_two = tuple(sorted(v for c in comps[1:] for v in c))

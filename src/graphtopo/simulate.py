@@ -16,9 +16,9 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import Graph, NumericalError, eig_sym, laplacian
+from .core import Graph, NumericalError, connected_components, eig_sym, laplacian
 from .learning import ObservationMatrix
-from .physical import BoundaryCondition, _is_connected, circuit_solve
+from .physical import BoundaryCondition, circuit_solve
 
 __all__ = ["MODES", "SimSpec", "simulate"]
 
@@ -130,7 +130,7 @@ def _prepare(g: Graph, spec: SimSpec):
     if mode in ("sources", "dipole", "pinned_pair"):
         if n < 2:
             raise ValueError(f"mode {mode!r} needs at least 2 vertices")
-        if not _is_connected(g.w):
+        if len(connected_components(g.w)) > 1:
             raise NumericalError(f"mode {mode!r} requires a connected graph")
 
     if mode == "sources":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DirectedGraph, Graph, NumericalError, eig_sym, laplacian
+from .core import DirectedGraph, Graph, NumericalError, connected_components, eig_sym, laplacian
 from .learning import correlation_matrix
 from .physical import (
     BoundaryCondition,
@@ -71,16 +71,7 @@ def _random_connected(rng: np.random.Generator, n: int) -> Graph:
             for j in range(i + 1, n):
                 if rng.random() < 0.5:
                     w[i, j] = w[j, i] = rng.uniform(0.1, 1.0)
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(w[v] > 0):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        if seen.all():
+        if len(connected_components(w)) == 1:
             return Graph.from_weights(w)
 
 

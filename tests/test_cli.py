@@ -1,12 +1,15 @@
 """End-to-end command-line tests, driven in process through dispatch()."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphtopo import io
-from graphtopo.cli import dispatch
+from graphtopo.cli import build_parser, dispatch
 from graphtopo.core import Graph, laplacian
 from graphtopo.physical import BoundaryCondition, circuit_solve, hitting_times
 
@@ -89,6 +92,43 @@ class TestExitCodes:
     def test_bad_flag_value(self, tmp_path, monkeypatch, inputs, capsys):
         monkeypatch.chdir(tmp_path)
         assert run("lattice", "gdft", "--dims", "3,x") == 1
+
+
+class TestRegressReport:
+    def test_unconverged_rows_reported(self, tmp_path, monkeypatch, inputs):
+        monkeypatch.chdir(tmp_path)
+        code = run("learn", "regress", "--obs", inputs / "obs.csv", "--rho", "0.05",
+                   "--max-iter", "5", "--clamp-negative")
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["metrics"]["unconverged_rows"] == list(range(8))
+
+    def test_converged_run(self, tmp_path, monkeypatch, inputs):
+        monkeypatch.chdir(tmp_path)
+        assert run("learn", "regress", "--obs", inputs / "obs.csv", "--rho", "0.05",
+                   "--clamp-negative") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is True
+        assert report["metrics"]["unconverged_rows"] == []
+
+
+def readme_cli_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("graphtopo ")]
+
+
+class TestReadme:
+    def test_cli_block_is_not_empty(self):
+        assert len(readme_cli_lines()) >= 5
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_line_parses(self, line):
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if getattr(args, "params", None) is not None:
+            assert isinstance(json.loads(args.params), dict)
 
 
 class TestGlassoWiring:

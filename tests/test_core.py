@@ -9,11 +9,14 @@ from graphtopo.core import (
     Graph,
     Laplacian,
     SourceVector,
+    connected_components,
     eig_sym,
     laplacian,
     pseudo_inverse,
     smoothness,
 )
+from graphtopo.physical import BoundaryCondition, label_propagation
+from graphtopo.portfolio import spectral_bisect
 
 from conftest import weights_from_edges
 
@@ -237,3 +240,37 @@ def test_connected_graph_null_space_property(seed):
     vals = np.linalg.eigvalsh(laplacian(Graph.from_weights(w)).l)
     assert abs(vals[0]) < 1e-10
     assert vals[1] > 1e-8
+
+
+def interleaved_components() -> np.ndarray:
+    """Components {0, 3}, {1, 2, 5} and the isolated vertex 4."""
+    return weights_from_edges(6, [(0, 3, 1.0), (5, 1, 0.5), (2, 5, 2.0)])
+
+
+class TestConnectedComponents:
+    def test_sorted_ordered_by_smallest_vertex_and_isolated_singleton(self):
+        assert connected_components(interleaved_components()) == [[0, 3], [1, 2, 5], [4]]
+
+    def test_no_edges_gives_singletons(self):
+        assert connected_components(np.zeros((5, 5))) == [[0], [1], [2], [3], [4]]
+
+    def test_connected_graph_is_one_component(self):
+        assert connected_components(path_graph(4).w) == [[0, 1, 2, 3]]
+
+    def test_only_positive_weights_are_edges(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1e-300
+        assert connected_components(w) == [[0, 1], [2]]
+
+    def test_label_propagation_names_the_smallest_unlabeled_component(self):
+        g = Graph.from_weights(interleaved_components())
+        with pytest.raises(ValueError, match="component containing vertex 1 has no label"):
+            label_propagation(g, BoundaryCondition({3: 1.0}))
+        with pytest.raises(ValueError, match="component containing vertex 4 has no label"):
+            label_propagation(g, BoundaryCondition({0: 1.0, 2: 0.0}))
+
+    def test_spectral_bisect_splits_first_component_from_the_rest(self):
+        cut = spectral_bisect(Graph.from_weights(interleaved_components()))
+        assert cut.from_components
+        assert cut.side_one == (0, 3)
+        assert cut.side_two == (1, 2, 4, 5)

@@ -3,14 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphtopo.core import Graph
+from graphtopo.cli import dispatch
+from graphtopo.core import DirectedGraph, Graph
 from graphtopo.io import (
     directed_graph_from_json,
     format_csv,
     graph_from_json,
     graph_to_json,
+    read_directed_graph_json,
     read_matrix_csv,
     read_vector_csv,
+    write_graph_json,
     write_matrix_csv,
     write_vector_csv,
 )
@@ -57,6 +60,23 @@ def test_directed_json_keeps_orientation():
     g = directed_graph_from_json('{"n":2,"edges":[[0,1,1.0]]}')
     assert g.w[0, 1] == 1.0
     assert g.w[1, 0] == 0.0
+
+
+def test_directed_graph_json_round_trip(tmp_path, monkeypatch):
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 2] = w[2, 0] = 1.0
+    write_graph_json(tmp_path / "cycle.json", DirectedGraph.from_weights(w))
+    g = read_directed_graph_json(tmp_path / "cycle.json")
+    assert np.array_equal(g.w, w)
+    assert g.w[2, 0] == 1.0
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["solve", "pagerank", "--graph", "cycle.json", "--report", ""]) == 0
+    assert np.allclose(read_vector_csv(tmp_path / "scores.csv"), 1.0)
+
+
+def test_undirected_json_lists_each_edge_once():
+    g = Graph.from_weights(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]]))
+    assert graph_to_json(g) == '{"n":3,"edges":[[0,1,2.0],[1,2,0.5]]}'
 
 
 def test_json_range_check():

@@ -117,6 +117,18 @@ class TestNeighborhoodRegression:
         assert b.b.shape == (1, 1)
         assert b.b[0, 0] == 0.0
 
+    def test_report_flags_unconverged_rows(self):
+        x = np.random.default_rng(12).normal(size=(6, 200))
+        report: dict = {}
+        neighborhood_regression(x, rho=0.05, max_iter=5, report=report)
+        assert report["converged"] is False
+        assert report["unconverged_rows"] == list(range(6))
+
+    def test_report_converged(self):
+        report: dict = {}
+        neighborhood_regression(chain4_observations(400), rho=0.0, report=report)
+        assert report == {"converged": True, "unconverged_rows": []}
+
     def test_row_error_carries_vertex_index(self):
         x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="vertex 0"):

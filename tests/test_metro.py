@@ -190,3 +190,47 @@ class TestFickPopulation:
         lap = laplacian(Graph.from_weights(w), allow_isolated=True)
         with pytest.raises(NumericalError):
             fick_population(lap, np.zeros(4), k=1.0)
+
+
+def terminus_graph(rng, n_core=45, n_lines=5, line_len=3):
+    """Connected random core with short branch lines hanging off it; every
+    vertex on a branch line except its terminus is a cut vertex."""
+    core = random_connected_graph(rng, n_core, p_edge=0.08)
+    n = n_core + n_lines * line_len
+    w = np.zeros((n, n))
+    w[:n_core, :n_core] = core.w
+    v = n_core
+    for _ in range(n_lines):
+        prev = int(rng.integers(n_core))
+        for _ in range(line_len):
+            w[prev, v] = w[v, prev] = 1.0
+            prev, v = v, v + 1
+    return Graph.from_weights(w)
+
+
+class TestNetworkxOracle:
+    @pytest.fixture(scope="class")
+    def case(self):
+        nx = pytest.importorskip("networkx")
+        g = terminus_graph(np.random.default_rng(60))
+        return g, nx.from_numpy_array((g.w > 0).astype(int))
+
+    def test_betweenness(self, case):
+        import networkx as nx
+        g, ref = case
+        expected = nx.betweenness_centrality(ref, normalized=False)
+        np.testing.assert_allclose(betweenness(g), [expected[v] for v in range(g.n)],
+                                   rtol=0, atol=1e-12)
+
+    def test_closeness_vitality(self, case):
+        import networkx as nx
+        g, ref = case
+        expected = nx.closeness_vitality(ref)
+        expected = np.array([expected[v] for v in range(g.n)])
+        got = closeness_vitality(g)
+        # networkx scores a disconnecting removal -inf (finite minus infinite
+        # Wiener index); this module scores it +inf
+        assert np.any(np.isinf(got))
+        assert np.array_equal(np.isposinf(got), np.isinf(expected))
+        finite = np.isfinite(got)
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=0, atol=1e-12)
