@@ -236,11 +236,15 @@ def _run_learn_glasso(args) -> int:
     cfg = GlassoConfig(rho=args.rho, max_sweeps=args.max_sweeps, eps=args.eps)
     if args.dry_run:
         return _dry_run_ok("learn glasso")
-    q = glasso(r, cfg)
+    details: dict = {}
+    q = glasso(r, cfg, report=details)
     io.write_matrix_csv(args.out, q)
     off = q[~np.eye(q.shape[0], dtype=bool)]
     return _finish(args, "learn glasso", {"precision": args.out}, t0=t0,
-                   metrics={"nonzero_offdiag": int(np.count_nonzero(off))},
+                   converged=details["converged"],
+                   metrics={"nonzero_offdiag": int(np.count_nonzero(off)),
+                            "sweeps": details["sweeps"],
+                            "unconverged_inner": details["unconverged_inner"]},
                    plot_series={"diagonal": np.diag(q)})
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "SourceVector",
     "NumericalError",
     "RankDeficiencyWarning",
+    "as_symmetric",
     "connected_components",
     "laplacian",
     "eig_sym",
@@ -55,6 +56,15 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def as_symmetric(m, name: str = "matrix") -> np.ndarray:
+    """(M + M') / 2 of a square M with max|M - M'| <= SYM_TOL * max(1, max|M|);
+    any other M raises a ValueError that names the input ``name``."""
+    m = _as_square(m, name)
+    if _max_abs(m - m.T) > SYM_TOL * max(_max_abs(m), 1.0):
+        raise ValueError(f"{name} must be symmetric")
+    return (m + m.T) / 2.0
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph.
@@ -72,13 +82,10 @@ class Graph:
     w: np.ndarray
 
     def __post_init__(self):
-        w = _as_square(self.w, "weight matrix")
+        w = as_symmetric(self.w, "weight matrix")
         if w.shape[0] != self.n:
             raise ValueError(f"n={self.n} does not match matrix shape {w.shape}")
         scale = max(_max_abs(w), 1.0)
-        if _max_abs(w - w.T) > SYM_TOL * scale:
-            raise ValueError("weight matrix must be symmetric")
-        w = (w + w.T) / 2.0
         if _max_abs(np.diag(w)) > SYM_TOL * scale:
             raise ValueError("weight matrix must have a zero diagonal")
         np.fill_diagonal(w, 0.0)
@@ -147,11 +154,8 @@ class Laplacian:
     check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_square(self.l, "laplacian")
+        m = as_symmetric(self.l, "laplacian")
         scale = max(_max_abs(m), 1.0)
-        if _max_abs(m - m.T) > SYM_TOL * scale:
-            raise ValueError("laplacian must be symmetric")
-        m = (m + m.T) / 2.0
         if self.check:
             self._validate(m, scale)
         m.flags.writeable = False
@@ -291,11 +295,7 @@ def eig_sym(m) -> SpectralDecomp:
     Inputs symmetric within ``SYM_TOL`` (relative) are symmetrized as
     (M + M') / 2 first; anything farther from symmetric is rejected.
     """
-    m = _as_square(m)
-    scale = max(_max_abs(m), 1.0)
-    if _max_abs(m - m.T) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    vals, vecs = np.linalg.eigh(as_symmetric(m))
     for k in range(vecs.shape[1]):
         # argmax returns the first occurrence, which is the tie rule.
         lead = int(np.argmax(np.abs(vecs[:, k])))

@@ -9,7 +9,7 @@ from typing import Literal
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Graph
+from .core import Graph, as_symmetric
 
 __all__ = [
     "KernelSpec",
@@ -156,8 +156,7 @@ def generalized_distance(a, b, h) -> float:
     h = np.asarray(h, dtype=float)
     if a.shape != b.shape or h.shape != (a.size, a.size):
         raise ValueError("dimension mismatch")
-    if np.max(np.abs(h - h.T)) > 1e-9 * max(1.0, np.max(np.abs(h))):
-        raise ValueError("inner-product matrix must be symmetric")
+    h = as_symmetric(h, "inner-product matrix")
     d = a - b
     val = float(d @ h @ d)
     if val < -1e-9 * max(1.0, float(d @ d)):

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.interpolate import BarycentricInterpolator
 
 from .core import Graph, Laplacian, NumericalError, eig_sym
-from .solvers import LassoConfig, lasso_ista
+from .solvers import LassoConfig, lasso_gram
 
 __all__ = [
     "ObservationMatrix",
@@ -129,10 +129,11 @@ def neighborhood_regression(x, rho: float, max_iter: int = 1000,
     # a single vertex has nothing to regress on
     if n > 1:
         cfg = LassoConfig(rho=rho, max_iter=max_iter, tol=tol)
+        s = arr @ arr.T
         for row in range(n):
             others = np.delete(np.arange(n), row)
             try:
-                res = lasso_ista(arr[others].T, arr[row], cfg)
+                res = lasso_gram(s[np.ix_(others, others)], s[others, row], cfg)
             except (ValueError, NumericalError) as exc:
                 raise type(exc)(f"vertex {row}: {exc}") from exc
             b[row, others] = res.coefficients
@@ -387,9 +388,11 @@ def learn_from_sources(x, j, rho: float | None = None,
         if rho is None:
             raise ValueError("rho is required when P < N-1")
         cfg = LassoConfig(rho=rho)
+        gram = x_red @ x_red.T
+        cross = x_red @ j_red.T
         l_red = np.empty((n - 1, n - 1))
         for k in range(n - 1):
-            l_red[k] = lasso_ista(x_red.T, j_red[k], cfg).coefficients
+            l_red[k] = lasso_gram(gram, cross[:, k], cfg).coefficients
 
     l = np.zeros((n, n))
     l[: n - 1, : n - 1] = l_red

@@ -8,13 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, RankDeficiencyWarning
+from .core import NumericalError, RankDeficiencyWarning, as_symmetric
 
 __all__ = [
     "LassoConfig",
     "GlassoConfig",
     "LassoResult",
     "soft_threshold",
+    "lasso_gram",
     "lasso_ista",
     "glasso",
     "precision_matrix",
@@ -92,99 +93,95 @@ def _largest_eigenvalue(g: np.ndarray) -> float:
     return lam
 
 
-def lasso_ista(a, y, cfg: LassoConfig) -> LassoResult:
-    """Minimize ||y - A x||_2^2 + rho ||x||_1 by iterative soft-thresholding.
+def lasso_gram(g, c, cfg: LassoConfig) -> LassoResult:
+    """Minimize x'Gx - 2c'x + rho ||x||_1 by iterative soft-thresholding.
 
-    Step size is 1/(2 lambda_max(A'A)); the iterate starts at A'y and the
-    loop stops on relative change below cfg.tol or at cfg.max_iter.
+    With G = A'A and c = A'y this is the lasso ||y - Ax||^2 + rho ||x||_1 less
+    its constant y'y. Step size is 1/(2 lambda_max(G)); the iterate starts at
+    c and the loop stops on relative change below cfg.tol or at cfg.max_iter.
     """
+    g = np.atleast_2d(np.asarray(g, dtype=float))
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if g.shape != (c.size, c.size):
+        raise ValueError("g must be square with one row per entry of c")
+    if not np.any(g):
+        raise ValueError("g must have at least one nonzero entry")
+
+    alpha = 1.0 / (2.0 * _largest_eigenvalue(g))
+    x = c
+    obj_prev = np.inf
+    for iterations in range(1, cfg.max_iter + 1):
+        x_new = soft_threshold(x + 2.0 * alpha * (c - g @ x), alpha * cfg.rho)
+        if cfg.debug:
+            # without y'y the objective can be negative, hence the |.| scale
+            obj = float(x_new @ g @ x_new - 2.0 * c @ x_new + cfg.rho * np.sum(np.abs(x_new)))
+            if obj > obj_prev + 1e-12 * max(1.0, abs(obj_prev)):
+                raise NumericalError(
+                    f"objective increased at iteration {iterations}: "
+                    f"{obj_prev!r} -> {obj!r}")
+            obj_prev = obj
+        converged = bool(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12) < cfg.tol)
+        x = x_new
+        if converged:
+            break
+    return LassoResult(x, iterations, converged)
+
+
+def lasso_ista(a, y, cfg: LassoConfig) -> LassoResult:
+    """Minimize ||y - A x||_2^2 + rho ||x||_1 by iterative soft-thresholding,
+    through :func:`lasso_gram` on G = A'A and c = A'y."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if a.shape[0] != y.size:
         raise ValueError("row count of a must match length of y")
     if not np.any(a):
         raise ValueError("a must have at least one nonzero entry")
-
-    gram = a.T @ a
-    alpha = 1.0 / (2.0 * _largest_eigenvalue(gram))
-    x = a.T @ y
-    obj_prev = np.inf
-    iterations = 0
-    converged = False
-    for k in range(cfg.max_iter):
-        iterations = k + 1
-        residual = y - a @ x
-        x_new = soft_threshold(x + 2.0 * alpha * (a.T @ residual), alpha * cfg.rho)
-        if cfg.debug:
-            obj = float(np.sum((y - a @ x_new) ** 2) + cfg.rho * np.sum(np.abs(x_new)))
-            if obj > obj_prev + 1e-12 * max(1.0, obj_prev):
-                raise NumericalError(
-                    f"objective increased at iteration {iterations}: "
-                    f"{obj_prev!r} -> {obj!r}")
-            obj_prev = obj
-        delta = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
-        x = x_new
-        if delta < cfg.tol:
-            converged = True
-            break
-    return LassoResult(x, iterations, converged)
+    return lasso_gram(a.T @ a, a.T @ y, cfg)
 
 
-def _psd_root_and_pinv_root(v11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # symmetric PSD square root; negative eigenvalues clamp to 0, and the
-    # inverse root is the pseudo-inverse in the same eigenbasis
-    vals, vecs = np.linalg.eigh((v11 + v11.T) / 2.0)
-    vals = np.maximum(vals, 0.0)
-    roots = np.sqrt(vals)
-    inv_roots = np.where(roots > 1e-12 * max(roots.max(), 1e-300), 1.0 / np.maximum(roots, 1e-300), 0.0)
-    return (vecs * roots) @ vecs.T, (vecs * inv_roots) @ vecs.T
-
-
-def glasso(r, cfg: GlassoConfig) -> np.ndarray:
+def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
     """Sparse precision estimate by coordinate sweeps over an augmented
     covariance V = R + rho I.
 
     Each sweep updates one row/column at a time from an L1-penalized
-    regression on the remaining block; sweeping stops when the mean
-    absolute change falls below eps scaled by the mean off-diagonal
-    magnitude of R. Returns the inverse of the converged V.
+    regression on the remaining block, :func:`lasso_gram` on (V11, r12);
+    sweeping stops when the mean absolute change falls below eps scaled by
+    the mean off-diagonal magnitude of R. Returns the inverse of the final V.
+    A given ``report`` dict receives ``sweeps``, ``unconverged_inner`` and
+    ``converged`` (sweep test met and every column lasso converged).
     """
-    r = np.asarray(r, dtype=float)
+    r = as_symmetric(r, "r")
     n = r.shape[0]
-    if r.ndim != 2 or r.shape[1] != n:
-        raise ValueError("r must be square")
     scale = max(np.max(np.abs(r)), 1.0)
-    if np.max(np.abs(r - r.T)) > 1e-9 * scale:
-        raise ValueError("r must be symmetric")
-    r = (r + r.T) / 2.0
     eigs = np.linalg.eigvalsh(r)
     if eigs[0] < -1e-8 * scale:
         raise ValueError("r must be positive semidefinite")
-    if n == 1:
-        return np.array([[1.0 / (r[0, 0] + cfg.rho)]])
 
-    off = r.copy()
-    np.fill_diagonal(off, 0.0)
-    c_p = np.mean(np.abs(off)) * cfg.eps
+    c_p = np.mean(np.abs(r - np.diag(np.diag(r)))) * cfg.eps
     v = r + cfg.rho * np.eye(n)
     inner = LassoConfig(rho=cfg.rho, max_iter=1000, tol=1e-8)
-    keep = [np.delete(np.arange(n), j) for j in range(n)]
-    for _ in range(cfg.max_sweeps):
+    # a single vertex has no off-diagonal column to update
+    sweeps, swept, unconverged = 0, n == 1, 0
+    while not swept and sweeps < cfg.max_sweeps:
+        sweeps += 1
         v_start = v.copy()
         for j in range(n - 1, -1, -1):
-            idx = keep[j]
+            idx = np.delete(np.arange(n), j)
             v11 = v[np.ix_(idx, idx)]
             r12 = r[idx, j]
-            a_mat, a_pinv = _psd_root_and_pinv_root(v11)
-            if not np.any(a_mat) or not np.any(r12):
+            if not np.any(v11) or not np.any(r12):
                 beta = np.zeros(n - 1)
             else:
-                beta = lasso_ista(a_mat, a_pinv @ r12, inner).coefficients
+                res = lasso_gram(v11, r12, inner)
+                beta = res.coefficients
+                unconverged += not res.converged
             v12 = v11 @ beta
             v[idx, j] = v12
             v[j, idx] = v12
-        if np.mean(np.abs(v - v_start)) < c_p:
-            break
+        swept = np.mean(np.abs(v - v_start)) < c_p
+    if report is not None:
+        report.update(sweeps=sweeps, unconverged_inner=unconverged,
+                      converged=bool(swept) and not unconverged)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > 1e14:
         raise NumericalError(
@@ -195,13 +192,7 @@ def glasso(r, cfg: GlassoConfig) -> np.ndarray:
 def precision_matrix(r, rank_tol: float = 1e-10) -> np.ndarray:
     """Inverse of a symmetric matrix; falls back to the pseudo-inverse with a
     RankDeficiencyWarning when the spectrum indicates rank deficiency."""
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if r.ndim != 2 or r.shape[1] != n:
-        raise ValueError("r must be square")
-    if np.max(np.abs(r - r.T)) > 1e-9 * max(np.max(np.abs(r)), 1.0):
-        raise ValueError("r must be symmetric")
-    r = (r + r.T) / 2.0
+    r = as_symmetric(r, "r")
     eigs = np.abs(np.linalg.eigvalsh(r))
     if eigs.max() == 0.0 or eigs.min() <= rank_tol * eigs.max():
         warnings.warn("matrix is rank deficient; returning the pseudo-inverse",

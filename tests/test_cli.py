@@ -113,6 +113,25 @@ class TestRegressReport:
         assert report["metrics"]["unconverged_rows"] == []
 
 
+class TestGlassoReport:
+    def test_converged_run(self, tmp_path, monkeypatch, inputs):
+        monkeypatch.chdir(tmp_path)
+        assert run("learn", "glasso", "--corr", inputs / "corr.csv", "--rho", "0.1",
+                   "--out", "q.csv") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is True
+        assert report["metrics"]["sweeps"] >= 1
+        assert report["metrics"]["unconverged_inner"] == 0
+
+    def test_sweep_cap_reported(self, tmp_path, monkeypatch, inputs):
+        monkeypatch.chdir(tmp_path)
+        assert run("learn", "glasso", "--corr", inputs / "corr.csv", "--rho", "0.1",
+                   "--max-sweeps", "1", "--out", "q.csv") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["metrics"]["sweeps"] == 1
+
+
 def readme_cli_lines() -> list[str]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)

@@ -9,6 +9,7 @@ from graphtopo.core import (
     Graph,
     Laplacian,
     SourceVector,
+    as_symmetric,
     connected_components,
     eig_sym,
     laplacian,
@@ -143,6 +144,20 @@ class TestEigSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestAsSymmetric:
+    def test_averages_within_tolerance(self):
+        m = np.array([[2.0, 1.0 + 1e-10], [1.0, 3.0]])
+        np.testing.assert_array_equal(as_symmetric(m), (m + m.T) / 2)
+
+    def test_tolerance_scales_with_magnitude(self):
+        m = np.array([[1e6, 1.0], [1.0 + 1e-4, 0.0]])
+        assert as_symmetric(m)[0, 1] == pytest.approx(1.0 + 5e-5)
+
+    def test_rejection_names_the_input(self):
+        with pytest.raises(ValueError, match="^widget must be symmetric$"):
+            as_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), "widget")
 
 
 class TestPseudoInverse:

@@ -361,6 +361,12 @@ class TestLearnFromSources:
         with pytest.raises(ValueError):
             learn_from_sources(np.ones((3, 4)), np.ones((3, 5)))
 
+    def test_sparse_branch_rejects_identical_signals(self):
+        # every vertex carries the same signal, so X_red = 0 and so is its Gram
+        x = np.tile(np.random.default_rng(3).normal(size=3), (6, 1))
+        with pytest.raises(ValueError, match="nonzero"):
+            learn_from_sources(x, np.zeros((6, 3)), rho=0.1)
+
 
 class TestWeightHelpers:
     def test_laplacian_roundtrip(self):

@@ -7,6 +7,7 @@ from graphtopo.solvers import (
     GlassoConfig,
     LassoConfig,
     glasso,
+    lasso_gram,
     lasso_ista,
     normalize_precision,
     precision_matrix,
@@ -222,6 +223,58 @@ class TestGlasso:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
             glasso(np.diag([1.0, -1.0]), GlassoConfig())
+
+
+class TestLassoGram:
+    def test_debug_accepts_large_negative_objective(self):
+        # the Gram-form objective drops y'y, so near the optimum it is about
+        # -8.6e6 here and rounding moves it by a few 1e-9 between iterations
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 10))
+        y = 1e3 * rng.normal(size=40)
+        res = lasso_gram(a.T @ a, a.T @ y,
+                         LassoConfig(rho=1.0, max_iter=3000, tol=1e-15, debug=True))
+        expect = lasso_ista(a, y, LassoConfig(rho=1.0, max_iter=3000, tol=1e-15))
+        np.testing.assert_allclose(res.coefficients, expect.coefficients)
+
+    def test_zero_gram_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            lasso_gram(np.zeros((2, 2)), np.ones(2), LassoConfig(rho=0.1))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="square"):
+            lasso_gram(np.eye(3), np.ones(2), LassoConfig())
+
+
+class TestGlassoOptimality:
+    def _correlation(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(30, 200))
+        x[1:] += 0.5 * x[:-1]
+        return np.corrcoef(x)
+
+    def test_box_conditions(self):
+        # stationarity of -log det Q + tr(RQ) + rho sum_i Q_ii
+        # + (rho/2) sum_{i != j} |Q_ij| at V = Q^{-1}
+        r = self._correlation()
+        rho = 0.05
+        v = np.linalg.inv(glasso(r, GlassoConfig(rho=rho)))
+        np.testing.assert_allclose(np.diag(v), np.diag(r) + rho, rtol=1e-12)
+        off = ~np.eye(30, dtype=bool)
+        assert np.max(np.abs(v - r)[off]) <= rho / 2 * (1 + 1e-4)
+
+    def test_report_converged(self):
+        report: dict = {}
+        glasso(self._correlation(), GlassoConfig(rho=0.05), report=report)
+        assert report["converged"] is True
+        assert report["unconverged_inner"] == 0
+        assert 1 <= report["sweeps"] < 100
+
+    def test_report_sweep_cap(self):
+        report: dict = {}
+        glasso(self._correlation(), GlassoConfig(rho=0.05, max_sweeps=1), report=report)
+        assert report["sweeps"] == 1
+        assert report["converged"] is False
 
 
 class TestPrecisionMatrix:
