@@ -6,15 +6,23 @@ report recording the command, parameters, seed, wall time, and metrics.
 Identical invocations with identical seeds produce byte-identical data
 files; the report is excluded from that guarantee because it records wall
 time. GRAPHTOPO_THREADS overrides --threads when set.
+
+Each command is one row of COMMANDS: its flags, a read step that loads and
+validates the inputs, and a compute step that returns a Result. `_run` is
+the one runner that takes every row through --dry-run, --strict, the
+output writes and the run report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,25 +124,74 @@ def _write_plot_data(path, series: dict[str, np.ndarray]) -> None:
     io.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _finish(args, command: str, outputs: dict[str, str], *, t0: float,
-            seed: int | None = None, converged: bool | None = None,
-            metrics: dict | None = None,
-            plot_series: dict[str, np.ndarray] | None = None) -> int:
-    if args.emit_plot_data and plot_series:
-        _write_plot_data(args.emit_plot_data, plot_series)
-        outputs = dict(outputs)
-        outputs["plot_data"] = args.emit_plot_data
+@dataclass(frozen=True)
+class Result:
+    """What a compute step hands to the runner. `outputs` maps a report name
+    to (path, data); the runner writes a graph as JSON, a 1-D array as a
+    vector CSV and a 2-D array as a matrix CSV. `converged` is None for
+    commands that do not iterate. A `failure` is raised as NumericalError
+    once the outputs and the report are written."""
+
+    outputs: dict[str, tuple[str, object]]
+    metrics: dict | None = None
+    plot_series: dict[str, np.ndarray] | None = None
+    converged: bool | None = None
+    failure: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command. `read(args)` loads and validates the inputs and
+    raises UsageError; `compute(args, inputs)` returns a Result; `plan`
+    gives the lines --dry-run prints in place of "dry-run ok"."""
+
+    group: str
+    name: str | None  # None: the group itself is the command
+    help: str
+    flags: tuple
+    read: Callable
+    compute: Callable
+    plan: Callable[[], list[str]] | None = None
+
+    @property
+    def label(self) -> str:
+        return self.group if self.name is None else f"{self.group} {self.name}"
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_COMMON = (
+    _arg("--dry-run", action="store_true",
+         help="validate inputs and exit without computing"),
+    _arg("--report", default="report.json", help="run-report JSON path ('' to skip)"),
+    _arg("--emit-plot-data", default=None, metavar="CSV",
+         help="write tidy (x,y,series) plot data"),
+    _arg("--threads", type=int, default=None,
+         help="parallelism cap (GRAPHTOPO_THREADS overrides)"),
+)
+
+
+def _write(path, data) -> None:
+    if not isinstance(data, np.ndarray):
+        io.write_graph_json(path, data)
+    elif data.ndim == 1:
+        io.write_vector_csv(path, data)
+    else:
+        io.write_matrix_csv(path, data)
+
+
+def _finish(args, command: str, outputs: dict[str, str], *, wall_time_s: float,
+            seed: int | None, converged: bool | None, metrics: dict | None) -> None:
     if args.report:
-        parameters = {
-            k: v for k, v in sorted(vars(args).items())
-            if k not in ("func",) and not callable(v)
-        }
+        parameters = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
         report = {
             "command": command,
             "parameters": parameters,
             "seed": seed,
             "generator": GENERATOR_NAME if seed is not None else None,
-            "wall_time_s": round(time.perf_counter() - t0, 6),
+            "wall_time_s": round(wall_time_s, 6),
             "converged": converged,
             "metrics": metrics or {},
             "outputs": outputs,
@@ -143,68 +200,87 @@ def _finish(args, command: str, outputs: dict[str, str], *, t0: float,
                              json.dumps(report, indent=2, sort_keys=True) + "\n")
     for name, path in outputs.items():
         print(f"wrote {name}: {path}")
+
+
+def _run(cmd: Command, args) -> int:
+    """Read, then stop on --dry-run; compute, then stop on --strict before
+    anything is written; write the outputs and the report; then raise the
+    Result's failure, if any."""
+    t0 = time.perf_counter()
+    inputs = cmd.read(args)
+    if args.dry_run:
+        print("\n".join(cmd.plan() if cmd.plan else [f"dry-run ok: {cmd.label}"]))
+        return 0
+    res = cmd.compute(args, inputs)
+    if getattr(args, "strict", False) and not res.converged:
+        raise NumericalError(f"{cmd.name} did not converge in {args.max_iter} iterations")
+    outputs = {}
+    for name, (path, data) in res.outputs.items():
+        _write(path, data)
+        outputs[name] = path
+    if args.emit_plot_data and res.plot_series:
+        _write_plot_data(args.emit_plot_data, res.plot_series)
+        outputs["plot_data"] = args.emit_plot_data
+    _finish(args, cmd.label, outputs, wall_time_s=time.perf_counter() - t0,
+            seed=getattr(args, "seed", None), converged=res.converged, metrics=res.metrics)
+    if res.failure:
+        raise NumericalError(res.failure)
     return 0
 
 
-def _dry_run_ok(command: str) -> int:
-    print(f"dry-run ok: {command}")
-    return 0
+def _read_obs(args):
+    return io.read_matrix_csv(args.obs)
+
+
+def _read_returns(args) -> ReturnSeries:
+    return ReturnSeries(io.read_matrix_csv(args.returns))
+
+
+def _read_lattice(args) -> Lattice:
+    return Lattice(_parse_ints(args.dims))
 
 
 # ---------------------------------------------------------------- gen
 
-def _run_gen_swiss_roll(args) -> int:
-    t0 = time.perf_counter()
+def _read_swiss_roll(args) -> KernelSpec:
     kernel = KernelSpec(kind=args.kernel, tau=args.tau, kappa=args.kappa)
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    if args.dry_run:
-        return _dry_run_ok("gen swiss-roll")
+    return kernel
+
+
+def _gen_swiss_roll(args, kernel) -> Result:
     g, cloud = swiss_roll_graph(args.n, args.seed, kernel)
-    io.write_graph_json(args.out_graph, g)
-    io.write_matrix_csv(args.out_coords, cloud.coords)
-    series = {f"coord_{d}": cloud.coords[:, d] for d in range(cloud.coords.shape[1])}
-    return _finish(args, "gen swiss-roll",
-                   {"graph": args.out_graph, "coords": args.out_coords},
-                   t0=t0, seed=args.seed,
-                   metrics={"vertices": g.n, "edges": int(np.count_nonzero(g.w) // 2)},
-                   plot_series=series)
+    return Result({"graph": (args.out_graph, g), "coords": (args.out_coords, cloud.coords)},
+                  {"vertices": g.n, "edges": int(np.count_nonzero(g.w) // 2)},
+                  {f"coord_{d}": cloud.coords[:, d] for d in range(cloud.coords.shape[1])})
 
 
-def _run_gen_signal(args) -> int:
-    t0 = time.perf_counter()
+def _read_signal(args):
     g = io.read_graph_json(args.graph)
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise UsageError("--params must be a JSON object")
-    spec = SimSpec(args.mode, seed=args.seed, p=args.p, params=params)
-    threads = _threads(args)
-    if args.dry_run:
-        return _dry_run_ok("gen signal")
+    return g, SimSpec(args.mode, seed=args.seed, p=args.p, params=params), _threads(args)
+
+
+def _gen_signal(args, inputs) -> Result:
+    g, spec, threads = inputs
     x = simulate(g, spec, threads=threads)
-    io.write_matrix_csv(args.out, x.x)
-    return _finish(args, "gen signal", {"signal": args.out}, t0=t0,
-                   seed=args.seed,
-                   metrics={"mode": args.mode, "snapshots": args.p, "threads": threads},
-                   plot_series={"snapshot_0": x.x[:, 0]})
+    return Result({"signal": (args.out, x.x)},
+                  {"mode": args.mode, "snapshots": args.p, "threads": threads},
+                  {"snapshot_0": x.x[:, 0]})
 
 
-def _run_gen_lattice(args) -> int:
-    t0 = time.perf_counter()
-    lat = Lattice(_parse_ints(args.dims))
-    if args.dry_run:
-        return _dry_run_ok("gen lattice")
+def _gen_lattice(args, lat) -> Result:
     g = kron_sum_adjacency(lat)
-    io.write_graph_json(args.out, g)
-    return _finish(args, "gen lattice", {"graph": args.out}, t0=t0,
-                   metrics={"dims": list(lat.dims), "vertices": g.n},
-                   plot_series={"degree": g.degrees()})
+    return Result({"graph": (args.out, g)}, {"dims": list(lat.dims), "vertices": g.n},
+                  {"degree": g.degrees()})
 
 
 # ---------------------------------------------------------------- learn
 
-def _run_learn_lasso(args) -> int:
-    t0 = time.perf_counter()
+def _read_lasso(args):
     obs = io.read_matrix_csv(args.obs)
     if args.target:
         a = obs
@@ -214,166 +290,128 @@ def _run_learn_lasso(args) -> int:
         if obs.shape[1] < 2:
             raise UsageError("--obs needs >= 2 columns when --target is absent")
         y, a = obs[:, 0], obs[:, 1:]
-    cfg = LassoConfig(rho=args.rho, max_iter=args.max_iter, tol=args.tol)
-    if args.dry_run:
-        return _dry_run_ok("learn lasso")
+    return a, y, LassoConfig(rho=args.rho, max_iter=args.max_iter, tol=args.tol)
+
+
+def _learn_lasso(args, inputs) -> Result:
+    a, y, cfg = inputs
     res = lasso_ista(a, y, cfg)
-    if args.strict and not res.converged:
-        raise NumericalError(f"lasso did not converge in {cfg.max_iter} iterations")
-    io.write_vector_csv(args.out, res.coefficients)
     objective = float(np.sum((y - a @ res.coefficients) ** 2)
                       + args.rho * np.sum(np.abs(res.coefficients)))
-    return _finish(args, "learn lasso", {"coefficients": args.out}, t0=t0,
-                   converged=res.converged,
-                   metrics={"iterations": res.iterations, "objective": objective,
-                            "nonzeros": int(np.count_nonzero(res.coefficients))},
-                   plot_series={"coefficient": res.coefficients})
+    return Result({"coefficients": (args.out, res.coefficients)},
+                  {"iterations": res.iterations, "objective": objective,
+                   "nonzeros": int(np.count_nonzero(res.coefficients))},
+                  {"coefficient": res.coefficients}, res.converged)
 
 
-def _run_learn_glasso(args) -> int:
-    t0 = time.perf_counter()
-    r = io.read_matrix_csv(args.corr)
-    cfg = GlassoConfig(rho=args.rho, max_sweeps=args.max_sweeps, eps=args.eps)
-    if args.dry_run:
-        return _dry_run_ok("learn glasso")
+def _learn_glasso(args, inputs) -> Result:
+    r, cfg = inputs
     details: dict = {}
     q = glasso(r, cfg, report=details)
-    io.write_matrix_csv(args.out, q)
     off = q[~np.eye(q.shape[0], dtype=bool)]
-    return _finish(args, "learn glasso", {"precision": args.out}, t0=t0,
-                   converged=details["converged"],
-                   metrics={"nonzero_offdiag": int(np.count_nonzero(off)),
-                            "sweeps": details["sweeps"],
-                            "unconverged_inner": details["unconverged_inner"]},
-                   plot_series={"diagonal": np.diag(q)})
+    return Result({"precision": (args.out, q)},
+                  {"nonzero_offdiag": int(np.count_nonzero(off)),
+                   "sweeps": details["sweeps"],
+                   "unconverged_inner": details["unconverged_inner"]},
+                  {"diagonal": np.diag(q)}, details["converged"])
 
 
-def _learn_outputs(args, w: np.ndarray, l: np.ndarray, t0: float, command: str,
-                   metrics: dict, plot_series: dict | None = None,
-                   converged: bool | None = None) -> int:
-    io.write_matrix_csv(args.out_l, l)
-    io.write_matrix_csv(args.out_w, w)
+def _learned(args, w: np.ndarray, l: np.ndarray, metrics: dict,
+             plot_series: dict | None = None, converged: bool | None = None) -> Result:
+    """The Laplacian and weight outputs shared by the learn commands."""
     if args.truth:
-        w_true = io.read_matrix_csv(args.truth)
-        metrics["mse_db"] = weight_mse_db(w, w_true)
+        metrics["mse_db"] = weight_mse_db(w, io.read_matrix_csv(args.truth))
     if plot_series is None:
-        iu = np.triu_indices(w.shape[0], k=1)
-        plot_series = {"weight": w[iu]}
-    return _finish(args, command, {"laplacian": args.out_l, "weights": args.out_w},
-                   t0=t0, converged=converged, metrics=metrics, plot_series=plot_series)
+        plot_series = {"weight": w[np.triu_indices(w.shape[0], k=1)]}
+    return Result({"laplacian": (args.out_l, l), "weights": (args.out_w, w)},
+                  metrics, plot_series, converged)
 
 
-def _run_learn_regress(args) -> int:
-    t0 = time.perf_counter()
-    x = io.read_matrix_csv(args.obs)
-    if args.dry_run:
-        return _dry_run_ok("learn regress")
+def _learn_regress(args, x) -> Result:
     details: dict = {}
     b = neighborhood_regression(x, args.rho, max_iter=args.max_iter, tol=args.tol,
                                 report=details)
     g = symmetrize_geometric(b, clamp_negative=args.clamp_negative)
-    return _learn_outputs(args, g.w, laplacian(g).l, t0, "learn regress",
-                          {"rho": args.rho, "unconverged_rows": details["unconverged_rows"]},
-                          converged=details["converged"])
+    return _learned(args, g.w, laplacian(g).l,
+                    {"rho": args.rho, "unconverged_rows": details["unconverged_rows"]},
+                    converged=details["converged"])
 
 
-def _run_learn_smooth(args) -> int:
-    t0 = time.perf_counter()
-    x = io.read_matrix_csv(args.obs)
-    if args.dry_run:
-        return _dry_run_ok("learn smooth")
+def _learn_smooth(args, x) -> Result:
     trace: list = []
     l, _ = smooth_learn(x, args.alpha, args.beta, outer_iters=args.outer_iters,
                         objective_trace=trace)
-    w = laplacian_to_weights(l)
-    return _learn_outputs(args, w, l.l, t0, "learn smooth",
-                          {"objective_trace": [float(v) for v in trace]},
-                          plot_series={"objective": np.asarray(trace)})
+    return _learned(args, laplacian_to_weights(l), l.l,
+                    {"objective_trace": [float(v) for v in trace]},
+                    {"objective": np.asarray(trace)})
 
 
-def _run_learn_polyfit(args) -> int:
-    t0 = time.perf_counter()
-    x = io.read_matrix_csv(args.obs)
-    cfg = PolyFitConfig(m=args.order, grid_points=args.grid_points)
-    if args.dry_run:
-        return _dry_run_ok("learn polyfit")
-    r = correlation_matrix(x)
-    eigenvalues, l = polynomial_fit_eigenvalues(r, cfg)
-    w = laplacian_to_weights(l)
-    return _learn_outputs(args, w, l.l, t0, "learn polyfit",
-                          {"order": args.order,
-                           "eigenvalues": [float(v) for v in eigenvalues]},
-                          plot_series={"eigenvalue": eigenvalues})
+def _learn_polyfit(args, inputs) -> Result:
+    x, cfg = inputs
+    eigenvalues, l = polynomial_fit_eigenvalues(correlation_matrix(x), cfg)
+    return _learned(args, laplacian_to_weights(l), l.l,
+                    {"order": args.order, "eigenvalues": [float(v) for v in eigenvalues]},
+                    {"eigenvalue": eigenvalues})
 
 
-def _run_learn_sources(args) -> int:
-    t0 = time.perf_counter()
-    x = io.read_matrix_csv(args.obs)
-    j = io.read_matrix_csv(args.sources)
-    if args.dry_run:
-        return _dry_run_ok("learn sources")
+def _learn_sources(args, inputs) -> Result:
+    x, j = inputs
     details: dict = {}
     l = learn_from_sources(x, j, rho=args.rho, report=details)
-    w = laplacian_to_weights(l)
-    return _learn_outputs(args, w, l.l, t0, "learn sources", details)
+    converged = details.pop("converged", None)
+    return _learned(args, laplacian_to_weights(l), l.l, details, converged=converged)
 
 
 # ---------------------------------------------------------------- solve
 
-def _run_solve_circuit(args) -> int:
-    t0 = time.perf_counter()
-    g = io.read_graph_json(args.graph)
-    bc = _read_bc(args.bc)
-    sources = io.read_vector_csv(args.sources) if args.sources else None
-    if args.dry_run:
-        return _dry_run_ok("solve circuit")
+def _read_graph_bc(args):
+    return io.read_graph_json(args.graph), _read_bc(args.bc)
+
+
+def _read_circuit(args):
+    g, bc = _read_graph_bc(args)
+    return g, bc, io.read_vector_csv(args.sources) if args.sources else None
+
+
+def _solve_circuit(args, inputs) -> Result:
+    g, bc, sources = inputs
     x = circuit_solve(laplacian(g), bc, sources)
-    io.write_vector_csv(args.out, x)
-    return _finish(args, "solve circuit", {"potentials": args.out}, t0=t0,
-                   plot_series={"potential": x})
+    return Result({"potentials": (args.out, x)}, plot_series={"potential": x})
 
 
-def _run_solve_absorb(args) -> int:
-    t0 = time.perf_counter()
-    g = io.read_graph_json(args.graph)
-    bc = _read_bc(args.bc)
-    if args.dry_run:
-        return _dry_run_ok("solve absorb")
-    x = absorbing_probabilities(g, bc)
-    io.write_vector_csv(args.out, x)
-    return _finish(args, "solve absorb", {"probabilities": args.out}, t0=t0,
-                   plot_series={"probability": x})
+def _solve_absorb(args, inputs) -> Result:
+    x = absorbing_probabilities(*inputs)
+    return Result({"probabilities": (args.out, x)}, plot_series={"probability": x})
 
 
-def _run_solve_hitting(args) -> int:
-    t0 = time.perf_counter()
+def _read_hitting(args):
     g = io.read_graph_json(args.graph)
     if not 0 <= args.target < g.n:
         raise UsageError(f"--target out of range for n={g.n}")
-    if args.dry_run:
-        return _dry_run_ok("solve hitting")
+    return g
+
+
+def _solve_hitting(args, g) -> Result:
     h = hitting_times(g, args.target)
-    io.write_vector_csv(args.out, h)
-    return _finish(args, "solve hitting", {"hitting_times": args.out}, t0=t0,
-                   metrics={"target": args.target}, plot_series={"hitting_time": h})
+    return Result({"hitting_times": (args.out, h)}, {"target": args.target},
+                  {"hitting_time": h})
 
 
-def _run_solve_commute(args) -> int:
-    t0 = time.perf_counter()
+def _read_commute(args):
     g = io.read_graph_json(args.graph)
     if not (0 <= args.m < g.n and 0 <= args.n < g.n):
         raise UsageError(f"--m/--n out of range for n={g.n}")
-    if args.dry_run:
-        return _dry_run_ok("solve commute")
+    return g
+
+
+def _solve_commute(args, g) -> Result:
     r = effective_resistance(g, args.m, args.n)
     ct = commute_time(g, args.m, args.n)
-    io.write_vector_csv(args.out, np.array([r, ct]))
-    return _finish(args, "solve commute", {"resistance_commute": args.out}, t0=t0,
-                   metrics={"effective_resistance": r, "commute_time": ct})
+    return Result({"resistance_commute": (args.out, np.array([r, ct]))},
+                  {"effective_resistance": r, "commute_time": ct})
 
 
-def _run_solve_pagerank(args) -> int:
-    t0 = time.perf_counter()
+def _read_pagerank(args):
     g = io.read_directed_graph_json(args.graph)
     damping = None
     if args.damping:
@@ -381,132 +419,84 @@ def _run_solve_pagerank(args) -> int:
         if len(parts) != 2:
             raise UsageError("--damping expects two numbers: teleport,scale")
         damping = (parts[0], parts[1])
-    if args.dry_run:
-        return _dry_run_ok("solve pagerank")
+    return g, damping
+
+
+def _solve_pagerank(args, inputs) -> Result:
+    g, damping = inputs
     res = pagerank(g, damping=damping, tol=args.tol, max_iter=args.max_iter)
-    if args.strict and not res.converged:
-        raise NumericalError(f"pagerank did not converge in {args.max_iter} iterations")
-    io.write_vector_csv(args.out, res.scores)
-    return _finish(args, "solve pagerank", {"scores": args.out}, t0=t0,
-                   converged=res.converged,
-                   metrics={"iterations": res.iterations},
-                   plot_series={"score": res.scores})
+    return Result({"scores": (args.out, res.scores)}, {"iterations": res.iterations},
+                  {"score": res.scores}, res.converged)
 
 
-def _run_solve_propagate(args) -> int:
-    t0 = time.perf_counter()
-    g = io.read_graph_json(args.graph)
-    labels = _read_bc(args.bc)
-    if args.dry_run:
-        return _dry_run_ok("solve propagate")
-    x = label_propagation(g, labels)
-    io.write_vector_csv(args.out, x)
-    return _finish(args, "solve propagate", {"labels": args.out}, t0=t0,
-                   plot_series={"label": x})
+def _solve_propagate(args, inputs) -> Result:
+    x = label_propagation(*inputs)
+    return Result({"labels": (args.out, x)}, plot_series={"label": x})
 
 
-def _run_solve_denoise(args) -> int:
-    t0 = time.perf_counter()
-    g = io.read_graph_json(args.graph)
-    y = io.read_vector_csv(args.obs)
-    if args.dry_run:
-        return _dry_run_ok("solve denoise")
+def _solve_denoise(args, inputs) -> Result:
+    g, y = inputs
     x = sparse_source_denoise(laplacian(g), y, k=args.k, reference=args.reference)
-    io.write_vector_csv(args.out, x)
-    return _finish(args, "solve denoise", {"denoised": args.out}, t0=t0,
-                   metrics={"k": args.k, "reference": args.reference},
-                   plot_series={"denoised": x, "observed": y})
+    return Result({"denoised": (args.out, x)}, {"k": args.k, "reference": args.reference},
+                  {"denoised": x, "observed": y})
 
 
 # ---------------------------------------------------------------- lattice
 
-def _run_lattice_gdft(args) -> int:
-    t0 = time.perf_counter()
-    lat = Lattice(_parse_ints(args.dims))
-    if args.dry_run:
-        return _dry_run_ok("lattice gdft")
+def _lattice_gdft(args, lat) -> Result:
     d = separable_gdft(lat)
-    io.write_matrix_csv(args.out_u, d.eigenvectors)
-    io.write_vector_csv(args.out_lam, d.eigenvalues)
-    return _finish(args, "lattice gdft",
-                   {"eigenvectors": args.out_u, "eigenvalues": args.out_lam},
-                   t0=t0, metrics={"dims": list(lat.dims)},
-                   plot_series={"eigenvalue": d.eigenvalues})
+    return Result({"eigenvectors": (args.out_u, d.eigenvectors),
+                   "eigenvalues": (args.out_lam, d.eigenvalues)},
+                  {"dims": list(lat.dims)}, {"eigenvalue": d.eigenvalues})
 
 
-def _run_lattice_subsample(args) -> int:
-    t0 = time.perf_counter()
-    g = io.read_graph_json(args.graph)
-    sampling = SamplingMap(_parse_ints(args.keep))
-    if args.dry_run:
-        return _dry_run_ok("lattice subsample")
-    sub = subsample(g, sampling)
-    io.write_graph_json(args.out, sub)
-    return _finish(args, "lattice subsample", {"graph": args.out}, t0=t0,
-                   metrics={"kept": list(sampling.kept)})
+def _lattice_subsample(args, inputs) -> Result:
+    g, sampling = inputs
+    return Result({"graph": (args.out, subsample(g, sampling))},
+                  {"kept": list(sampling.kept)})
 
 
 # ---------------------------------------------------------------- portfolio
 
-def _read_returns(path) -> ReturnSeries:
-    return ReturnSeries(io.read_matrix_csv(path))
-
-
-def _run_portfolio_cut(args) -> int:
-    t0 = time.perf_counter()
-    r = _read_returns(args.returns)
+def _portfolio_cut(args, r) -> Result:
     kind = _CUT_KINDS[args.kind]
-    if args.dry_run:
-        return _dry_run_ok("portfolio cut")
     g = market_graph(r)
     cut = spectral_bisect(g, kind=kind)
     value = cut_value(g, cut.side_one, kind)
     indicator = np.zeros(g.n)
     indicator[list(cut.side_one)] = 1.0
     indicator[list(cut.side_two)] = -1.0
-    io.write_vector_csv(args.out, indicator)
-    return _finish(args, "portfolio cut", {"partition": args.out}, t0=t0,
-                   metrics={"cut_value": value,
-                            "side_one": list(cut.side_one),
-                            "side_two": list(cut.side_two),
-                            "from_components": cut.from_components},
-                   plot_series={"side": indicator})
+    return Result({"partition": (args.out, indicator)},
+                  {"cut_value": value, "side_one": list(cut.side_one),
+                   "side_two": list(cut.side_two), "from_components": cut.from_components},
+                  {"side": indicator})
 
 
-def _run_portfolio_allocate(args) -> int:
-    t0 = time.perf_counter()
-    r = _read_returns(args.returns)
-    kind = _CUT_KINDS[args.kind]
+def _portfolio_allocate(args, r) -> Result:
     scheme = args.scheme.upper()
-    if args.dry_run:
-        return _dry_run_ok("portfolio allocate")
-    g = market_graph(r)
-    tree = repeated_cuts(g, args.cuts, kind=kind)
+    tree = repeated_cuts(market_graph(r), args.cuts, kind=_CUT_KINDS[args.kind])
     w = allocate(tree, scheme)
-    io.write_vector_csv(args.out, w)
     leaves = [sorted(leaf.vertices) for leaf in tree.leaves()]
-    return _finish(args, "portfolio allocate", {"weights": args.out}, t0=t0,
-                   metrics={"scheme": scheme, "cuts": args.cuts, "leaves": leaves},
-                   plot_series={"weight": w})
+    return Result({"weights": (args.out, w)},
+                  {"scheme": scheme, "cuts": args.cuts, "leaves": leaves}, {"weight": w})
 
 
-def _run_portfolio_backtest(args) -> int:
-    t0 = time.perf_counter()
-    r = _read_returns(args.returns)
-    kind = _CUT_KINDS[args.kind]
-    scheme = args.scheme.upper()
+def _read_backtest(args):
+    r = _read_returns(args)
     if not 0.1 <= args.split <= 0.9:
         raise UsageError("--split must lie in [0.1, 0.9]")
     t_fit = int(round(r.periods * args.split))
     if t_fit < 2 or r.periods - t_fit < 2:
         raise UsageError("not enough periods on one side of the split")
-    if args.dry_run:
-        return _dry_run_ok("portfolio backtest")
+    return r, t_fit
+
+
+def _portfolio_backtest(args, inputs) -> Result:
+    r, t_fit = inputs
     fit = ReturnSeries(r.returns[:t_fit])
     held = ReturnSeries(r.returns[t_fit:])
-    g = market_graph(fit)
-    tree = repeated_cuts(g, args.cuts, kind=kind)
-    w = allocate(tree, scheme)
+    tree = repeated_cuts(market_graph(fit), args.cuts, kind=_CUT_KINDS[args.kind])
+    w = allocate(tree, args.scheme.upper())
     uniform = np.full(r.assets, 1.0 / r.assets)
     metrics = {
         "split_period": t_fit,
@@ -522,311 +512,240 @@ def _run_portfolio_backtest(args) -> int:
         metrics["sharpe_min_variance"] = None
         metrics["min_variance_note"] = str(e)
     series = held.returns @ w
-    io.write_vector_csv(args.out, series)
-    plot = {
-        "cumulative": np.cumsum(series),
-        "cumulative_uniform": np.cumsum(held.returns @ uniform),
-    }
-    return _finish(args, "portfolio backtest", {"held_returns": args.out}, t0=t0,
-                   metrics=metrics, plot_series=plot)
+    return Result({"held_returns": (args.out, series)}, metrics,
+                  {"cumulative": np.cumsum(series),
+                   "cumulative_uniform": np.cumsum(held.returns @ uniform)})
 
 
 # ---------------------------------------------------------------- metro
 
-def _run_metro_centrality(args) -> int:
-    t0 = time.perf_counter()
-    g = io.read_graph_json(args.graph)
-    if args.dry_run:
-        return _dry_run_ok("metro centrality")
+def _metro_centrality(args, g) -> Result:
     b = betweenness(g)
     v = closeness_vitality(g)
-    io.write_matrix_csv(args.out, np.column_stack([b, v]))
-    return _finish(args, "metro centrality", {"centrality": args.out}, t0=t0,
-                   metrics={"columns": ["betweenness", "closeness_vitality"],
-                            "max_betweenness_vertex": int(np.argmax(b))},
-                   plot_series={"betweenness": b, "closeness_vitality": v})
+    return Result({"centrality": (args.out, np.column_stack([b, v]))},
+                  {"columns": ["betweenness", "closeness_vitality"],
+                   "max_betweenness_vertex": int(np.argmax(b))},
+                  {"betweenness": b, "closeness_vitality": v})
 
 
-def _run_metro_population(args) -> int:
-    t0 = time.perf_counter()
+def _read_population(args):
     g = io.read_graph_json(args.graph)
     q = io.read_vector_csv(args.flows)
     if args.k <= 0:
         raise UsageError("--k must be positive")
-    if args.dry_run:
-        return _dry_run_ok("metro population")
+    return g, q
+
+
+def _metro_population(args, inputs) -> Result:
+    g, q = inputs
     phi = fick_population(laplacian(g), q, k=args.k)
-    io.write_vector_csv(args.out, phi)
-    return _finish(args, "metro population", {"population": args.out}, t0=t0,
-                   metrics={"k": args.k}, plot_series={"population": phi})
+    return Result({"population": (args.out, phi)}, {"k": args.k}, {"population": phi})
 
 
 # ---------------------------------------------------------------- verify
 
-def _run_verify(args) -> int:
-    t0 = time.perf_counter()
-    if args.dry_run:
-        from .verify import CHECKS
-        for name, _ in CHECKS:
-            print(f"would run {name}")
-        return 0
+def _verify_plan() -> list[str]:
+    from .verify import CHECKS
+    return [f"would run {name}" for name, _ in CHECKS]
+
+
+def _verify(args, _) -> Result:
     ok = run_suite()
-    if args.report:
-        report = {
-            "command": "verify",
-            "parameters": {},
-            "seed": None,
-            "generator": None,
-            "wall_time_s": round(time.perf_counter() - t0, 6),
-            "converged": ok,
-            "metrics": {},
-            "outputs": {},
-        }
-        io.atomic_write_text(args.report,
-                             json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if not ok:
-        raise NumericalError("verification suite reported failures")
-    return 0
+    return Result({}, converged=ok,
+                  failure=None if ok else "verification suite reported failures")
 
 
-# ---------------------------------------------------------------- wiring
+# ---------------------------------------------------------------- table
 
-def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dry-run", action="store_true",
-                     help="validate inputs and exit without computing")
-    sub.add_argument("--report", default="report.json",
-                     help="run-report JSON path ('' to skip)")
-    sub.add_argument("--emit-plot-data", default=None, metavar="CSV",
-                     help="write tidy (x,y,series) plot data")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="parallelism cap (GRAPHTOPO_THREADS overrides)")
+_GRAPH = _arg("--graph", required=True)
+_CUT_KIND = _arg("--kind", default="cutn", choices=tuple(_CUT_KINDS))
+_LASSO = (
+    _arg("--rho", type=float, required=True),
+    _arg("--max-iter", type=int, default=1000),
+    _arg("--tol", type=float, default=1e-8),
+)
+_MARKET = (
+    _arg("--returns", required=True),
+    _arg("--cuts", type=int, required=True),
+    _CUT_KIND,
+    _arg("--scheme", default="as1", choices=("as1", "as2", "AS1", "AS2")),
+)
+_LEARNED = (
+    _arg("--obs", required=True),
+    _arg("--out-l", default="laplacian.csv"),
+    _arg("--out-w", default="weights.csv"),
+    _arg("--truth", default=None, help="true weight CSV; adds MSE in dB to the report"),
+)
+
+GROUPS = {
+    "gen": "generate graphs and signals",
+    "learn": "learn topology from data",
+    "solve": "solve physically defined systems",
+    "lattice": "lattice transforms",
+    "portfolio": "market-graph portfolio tools",
+    "metro": "transit-network analytics",
+}
+
+COMMANDS = (
+    Command("gen", "swiss-roll", "random swiss-roll graph", (
+        _arg("--n", type=int, required=True),
+        _arg("--seed", type=int, required=True),
+        _arg("--tau", type=float, default=1.0),
+        _arg("--kappa", type=float, default=float("inf")),
+        _arg("--kernel", default="gauss_sq",
+             choices=("gauss_sq", "exp_lin", "inv_dist", "binary")),
+        _arg("--out-graph", default="graph.json"),
+        _arg("--out-coords", default="coords.csv"),
+    ), _read_swiss_roll, _gen_swiss_roll),
+    Command("gen", "signal", "simulate graph signals", (
+        _GRAPH,
+        _arg("--mode", required=True, choices=MODES),
+        _arg("--seed", type=int, required=True),
+        _arg("--p", type=int, required=True, help="snapshot count"),
+        _arg("--params", default=None, help="JSON object of mode parameters"),
+        _arg("--out", default="signal.csv"),
+    ), _read_signal, _gen_signal),
+    Command("gen", "lattice", "lattice graph from axis sizes",
+            (_arg("--dims", required=True, help="comma-separated axis sizes"),
+             _arg("--out", default="lattice.json")),
+            _read_lattice, _gen_lattice),
+
+    Command("learn", "lasso", "sparse regression by ISTA", (
+        _arg("--obs", required=True,
+             help="CSV; first column is the response unless --target is given"),
+        _arg("--target", default=None, help="response vector CSV"),
+        *_LASSO,
+        _arg("--strict", action="store_true", help="exit 2 if the iteration cap is hit"),
+        _arg("--out", default="coefficients.csv"),
+    ), _read_lasso, _learn_lasso),
+    Command("learn", "glasso", "sparse precision matrix", (
+        _arg("--corr", required=True),
+        _arg("--rho", type=float, required=True),
+        _arg("--max-sweeps", type=int, default=100),
+        _arg("--eps", type=float, default=1e-4),
+        _arg("--out", default="precision.csv"),
+    ), lambda args: (io.read_matrix_csv(args.corr),
+                     GlassoConfig(rho=args.rho, max_sweeps=args.max_sweeps, eps=args.eps)),
+        _learn_glasso),
+    Command("learn", "regress", "neighborhood regression topology",
+            _LEARNED + _LASSO + (_arg("--clamp-negative", action="store_true"),),
+            _read_obs, _learn_regress),
+    Command("learn", "smooth", "smoothness-regularized topology", _LEARNED + (
+        _arg("--alpha", type=float, required=True),
+        _arg("--beta", type=float, required=True),
+        _arg("--outer-iters", type=int, default=20),
+    ), _read_obs, _learn_smooth),
+    Command("learn", "polyfit", "eigenvalue polynomial fit topology", _LEARNED + (
+        _arg("--order", type=int, required=True),
+        _arg("--grid-points", type=int, default=None),
+    ), lambda args: (io.read_matrix_csv(args.obs),
+                     PolyFitConfig(m=args.order, grid_points=args.grid_points)),
+        _learn_polyfit),
+    Command("learn", "sources", "topology from known sources", _LEARNED + (
+        _arg("--sources", required=True, help="source matrix CSV"),
+        _arg("--rho", type=float, default=None),
+    ), lambda args: (io.read_matrix_csv(args.obs), io.read_matrix_csv(args.sources)),
+        _learn_sources),
+
+    Command("solve", "circuit", "pinned-potential circuit", (
+        _GRAPH,
+        _arg("--bc", required=True, help="CSV of index,value pins"),
+        _arg("--sources", default=None, help="injected current CSV"),
+        _arg("--out", default="potentials.csv"),
+    ), _read_circuit, _solve_circuit),
+    Command("solve", "absorb", "absorbing-walk probabilities",
+            (_GRAPH, _arg("--bc", required=True), _arg("--out", default="probabilities.csv")),
+            _read_graph_bc, _solve_absorb),
+    Command("solve", "hitting", "expected hitting times", (
+        _GRAPH,
+        _arg("--target", type=int, required=True),
+        _arg("--out", default="hitting.csv"),
+    ), _read_hitting, _solve_hitting),
+    Command("solve", "commute", "effective resistance and commute time", (
+        _GRAPH,
+        _arg("--m", type=int, required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--out", default="commute.csv"),
+    ), _read_commute, _solve_commute),
+    Command("solve", "pagerank", "page scores by power iteration", (
+        _GRAPH,
+        _arg("--damping", default=None, help="teleport,scale"),
+        _arg("--tol", type=float, default=1e-6),
+        _arg("--max-iter", type=int, default=1000),
+        _arg("--strict", action="store_true"),
+        _arg("--out", default="scores.csv"),
+    ), _read_pagerank, _solve_pagerank),
+    Command("solve", "propagate", "semi-supervised label spread", (
+        _GRAPH,
+        _arg("--bc", required=True, help="CSV of index,label pins"),
+        _arg("--out", default="labels.csv"),
+    ), _read_graph_bc, _solve_propagate),
+    Command("solve", "denoise", "sparse-source signal cleanup", (
+        _GRAPH,
+        _arg("--obs", required=True, help="noisy signal CSV"),
+        _arg("--k", type=int, required=True, help="source count"),
+        _arg("--reference", type=int, required=True),
+        _arg("--out", default="denoised.csv"),
+    ), lambda args: (io.read_graph_json(args.graph), io.read_vector_csv(args.obs)),
+        _solve_denoise),
+
+    Command("lattice", "gdft", "separable lattice Fourier basis", (
+        _arg("--dims", required=True),
+        _arg("--out-u", default="gdft_u.csv"),
+        _arg("--out-lam", default="gdft_lambda.csv"),
+    ), _read_lattice, _lattice_gdft),
+    Command("lattice", "subsample", "keep a vertex subset", (
+        _GRAPH,
+        _arg("--keep", required=True, help="comma-separated kept vertices"),
+        _arg("--out", default="subsampled.json"),
+    ), lambda args: (io.read_graph_json(args.graph), SamplingMap(_parse_ints(args.keep))),
+        _lattice_subsample),
+
+    Command("portfolio", "cut", "one spectral bisection of the market", (
+        _arg("--returns", required=True, help="periods x assets CSV"),
+        _CUT_KIND,
+        _arg("--out", default="partition.csv"),
+    ), _read_returns, _portfolio_cut),
+    Command("portfolio", "allocate", "repeated cuts to weights",
+            _MARKET + (_arg("--out", default="weights.csv"),),
+            _read_returns, _portfolio_allocate),
+    Command("portfolio", "backtest", "fit on early periods, hold later ones", _MARKET + (
+        _arg("--split", type=float, default=0.5, help="fraction of periods used for fitting"),
+        _arg("--periods-per-year", type=int, default=None),
+        _arg("--out", default="held_returns.csv"),
+    ), _read_backtest, _portfolio_backtest),
+
+    Command("metro", "centrality", "betweenness and closeness vitality",
+            (_GRAPH, _arg("--out", default="centrality.csv")),
+            lambda args: io.read_graph_json(args.graph), _metro_centrality),
+    Command("metro", "population", "population profile from flows", (
+        _GRAPH,
+        _arg("--flows", required=True, help="net outflow vector CSV"),
+        _arg("--k", type=float, default=1.0, help="diffusivity"),
+        _arg("--out", default="population.csv"),
+    ), _read_population, _metro_population),
+
+    Command("verify", None, "run the built-in verification suite", (),
+            lambda args: None, _verify, plan=_verify_plan),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphtopo",
                      description="Graph topology learning and graph-system solvers")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    gen = groups.add_parser("gen", help="generate graphs and signals")
-    gen_sub = gen.add_subparsers(dest="command", required=True)
-
-    p = gen_sub.add_parser("swiss-roll", help="random swiss-roll graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=float("inf"))
-    p.add_argument("--kernel", default="gauss_sq",
-                   choices=("gauss_sq", "exp_lin", "inv_dist", "binary"))
-    p.add_argument("--out-graph", default="graph.json")
-    p.add_argument("--out-coords", default="coords.csv")
-    _common(p)
-    p.set_defaults(func=_run_gen_swiss_roll)
-
-    p = gen_sub.add_parser("signal", help="simulate graph signals")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--p", type=int, required=True, help="snapshot count")
-    p.add_argument("--params", default=None, help="JSON object of mode parameters")
-    p.add_argument("--out", default="signal.csv")
-    _common(p)
-    p.set_defaults(func=_run_gen_signal)
-
-    p = gen_sub.add_parser("lattice", help="lattice graph from axis sizes")
-    p.add_argument("--dims", required=True, help="comma-separated axis sizes")
-    p.add_argument("--out", default="lattice.json")
-    _common(p)
-    p.set_defaults(func=_run_gen_lattice)
-
-    learn = groups.add_parser("learn", help="learn topology from data")
-    learn_sub = learn.add_subparsers(dest="command", required=True)
-
-    p = learn_sub.add_parser("lasso", help="sparse regression by ISTA")
-    p.add_argument("--obs", required=True,
-                   help="CSV; first column is the response unless --target is given")
-    p.add_argument("--target", default=None, help="response vector CSV")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 if the iteration cap is hit")
-    p.add_argument("--out", default="coefficients.csv")
-    _common(p)
-    p.set_defaults(func=_run_learn_lasso)
-
-    p = learn_sub.add_parser("glasso", help="sparse precision matrix")
-    p.add_argument("--corr", required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--max-sweeps", type=int, default=100)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--out", default="precision.csv")
-    _common(p)
-    p.set_defaults(func=_run_learn_glasso)
-
-    def learn_lw(sub, name, helptext):
-        q = sub.add_parser(name, help=helptext)
-        q.add_argument("--obs", required=True)
-        q.add_argument("--out-l", default="laplacian.csv")
-        q.add_argument("--out-w", default="weights.csv")
-        q.add_argument("--truth", default=None,
-                       help="true weight CSV; adds MSE in dB to the report")
-        return q
-
-    p = learn_lw(learn_sub, "regress", "neighborhood regression topology")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--clamp-negative", action="store_true")
-    _common(p)
-    p.set_defaults(func=_run_learn_regress)
-
-    p = learn_lw(learn_sub, "smooth", "smoothness-regularized topology")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--outer-iters", type=int, default=20)
-    _common(p)
-    p.set_defaults(func=_run_learn_smooth)
-
-    p = learn_lw(learn_sub, "polyfit", "eigenvalue polynomial fit topology")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--grid-points", type=int, default=None)
-    _common(p)
-    p.set_defaults(func=_run_learn_polyfit)
-
-    p = learn_lw(learn_sub, "sources", "topology from known sources")
-    p.add_argument("--sources", required=True, help="source matrix CSV")
-    p.add_argument("--rho", type=float, default=None)
-    _common(p)
-    p.set_defaults(func=_run_learn_sources)
-
-    solve = groups.add_parser("solve", help="solve physically defined systems")
-    solve_sub = solve.add_subparsers(dest="command", required=True)
-
-    p = solve_sub.add_parser("circuit", help="pinned-potential circuit")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--bc", required=True, help="CSV of index,value pins")
-    p.add_argument("--sources", default=None, help="injected current CSV")
-    p.add_argument("--out", default="potentials.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_circuit)
-
-    p = solve_sub.add_parser("absorb", help="absorbing-walk probabilities")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--bc", required=True)
-    p.add_argument("--out", default="probabilities.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_absorb)
-
-    p = solve_sub.add_parser("hitting", help="expected hitting times")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--out", default="hitting.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_hitting)
-
-    p = solve_sub.add_parser("commute", help="effective resistance and commute time")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default="commute.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_commute)
-
-    p = solve_sub.add_parser("pagerank", help="page scores by power iteration")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--damping", default=None, help="teleport,scale")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", default="scores.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_pagerank)
-
-    p = solve_sub.add_parser("propagate", help="semi-supervised label spread")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--bc", required=True, help="CSV of index,label pins")
-    p.add_argument("--out", default="labels.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_propagate)
-
-    p = solve_sub.add_parser("denoise", help="sparse-source signal cleanup")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--obs", required=True, help="noisy signal CSV")
-    p.add_argument("--k", type=int, required=True, help="source count")
-    p.add_argument("--reference", type=int, required=True)
-    p.add_argument("--out", default="denoised.csv")
-    _common(p)
-    p.set_defaults(func=_run_solve_denoise)
-
-    lattice = groups.add_parser("lattice", help="lattice transforms")
-    lattice_sub = lattice.add_subparsers(dest="command", required=True)
-
-    p = lattice_sub.add_parser("gdft", help="separable lattice Fourier basis")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--out-u", default="gdft_u.csv")
-    p.add_argument("--out-lam", default="gdft_lambda.csv")
-    _common(p)
-    p.set_defaults(func=_run_lattice_gdft)
-
-    p = lattice_sub.add_parser("subsample", help="keep a vertex subset")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--keep", required=True, help="comma-separated kept vertices")
-    p.add_argument("--out", default="subsampled.json")
-    _common(p)
-    p.set_defaults(func=_run_lattice_subsample)
-
-    portfolio = groups.add_parser("portfolio", help="market-graph portfolio tools")
-    portfolio_sub = portfolio.add_subparsers(dest="command", required=True)
-
-    p = portfolio_sub.add_parser("cut", help="one spectral bisection of the market")
-    p.add_argument("--returns", required=True, help="periods x assets CSV")
-    p.add_argument("--kind", default="cutn", choices=tuple(_CUT_KINDS))
-    p.add_argument("--out", default="partition.csv")
-    _common(p)
-    p.set_defaults(func=_run_portfolio_cut)
-
-    p = portfolio_sub.add_parser("allocate", help="repeated cuts to weights")
-    p.add_argument("--returns", required=True)
-    p.add_argument("--cuts", type=int, required=True)
-    p.add_argument("--kind", default="cutn", choices=tuple(_CUT_KINDS))
-    p.add_argument("--scheme", default="as1", choices=("as1", "as2", "AS1", "AS2"))
-    p.add_argument("--out", default="weights.csv")
-    _common(p)
-    p.set_defaults(func=_run_portfolio_allocate)
-
-    p = portfolio_sub.add_parser("backtest", help="fit on early periods, hold later ones")
-    p.add_argument("--returns", required=True)
-    p.add_argument("--cuts", type=int, required=True)
-    p.add_argument("--kind", default="cutn", choices=tuple(_CUT_KINDS))
-    p.add_argument("--scheme", default="as1", choices=("as1", "as2", "AS1", "AS2"))
-    p.add_argument("--split", type=float, default=0.5,
-                   help="fraction of periods used for fitting")
-    p.add_argument("--periods-per-year", type=int, default=None)
-    p.add_argument("--out", default="held_returns.csv")
-    _common(p)
-    p.set_defaults(func=_run_portfolio_backtest)
-
-    metro = groups.add_parser("metro", help="transit-network analytics")
-    metro_sub = metro.add_subparsers(dest="command", required=True)
-
-    p = metro_sub.add_parser("centrality", help="betweenness and closeness vitality")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", default="centrality.csv")
-    _common(p)
-    p.set_defaults(func=_run_metro_centrality)
-
-    p = metro_sub.add_parser("population", help="population profile from flows")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--flows", required=True, help="net outflow vector CSV")
-    p.add_argument("--k", type=float, default=1.0, help="diffusivity")
-    p.add_argument("--out", default="population.csv")
-    _common(p)
-    p.set_defaults(func=_run_metro_population)
-
-    p = groups.add_parser("verify", help="run the built-in verification suite")
-    _common(p)
-    p.set_defaults(func=_run_verify)
-
+    subcommands = {}
+    for cmd in COMMANDS:
+        if cmd.name is None:
+            p = groups.add_parser(cmd.group, help=cmd.help)
+        else:
+            if cmd.group not in subcommands:
+                group = groups.add_parser(cmd.group, help=GROUPS[cmd.group])
+                subcommands[cmd.group] = group.add_subparsers(dest="command", required=True)
+            p = subcommands[cmd.group].add_parser(cmd.name, help=cmd.help)
+        for names, kwargs in cmd.flags + _COMMON:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=functools.partial(_run, cmd))
     return parser
 
 
@@ -841,10 +760,7 @@ def dispatch(argv) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as e:

@@ -20,7 +20,6 @@ __all__ = [
     "neighborhood_regression",
     "symmetrize_geometric",
     "smooth_learn",
-    "spectral_topology_full",
     "polynomial_fit_eigenvalues",
     "learn_from_sources",
     "laplacian_to_weights",
@@ -230,51 +229,6 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
     return Laplacian(l, kind="combinatorial", check=False), ObservationMatrix(y)
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    # Euclidean projection onto {w >= 0, sum w = total}
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, v.size + 1)
-    valid = u - css / ks > 0
-    k = ks[valid][-1]
-    theta = css[k - 1] / k
-    return np.maximum(v - theta, 0.0)
-
-
-def spectral_topology_full(r, iters: int = 2000, step_scale: float = 1.0) -> Laplacian:
-    """Estimate a sparse Laplacian sharing eigenvectors with r.
-
-    Keeps the eigenvectors of r and minimizes the entrywise L1 norm of
-    U diag(lambda) U' over lambda >= 0 with lambda_0 = 0 and sum N, by
-    projected subgradient descent; returns the best iterate seen.
-    """
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if n > 30:
-        raise ValueError("full spectral search is limited to 30 vertices")
-    decomp = eig_sym(r)
-    u = decomp.eigenvectors
-    # start at the spectrum implied by r itself, rescaled onto the simplex;
-    # a uniform start is already a subgradient-stationary minimizer
-    lam = np.zeros(n)
-    lam[1:] = _project_simplex(np.maximum(decomp.eigenvalues[1:], 0.0), float(n))
-    best = None
-    best_obj = np.inf
-    for t in range(1, iters + 1):
-        l = (u * lam) @ u.T
-        obj = float(np.sum(np.abs(l)))
-        if obj < best_obj:
-            best_obj = obj
-            best = lam.copy()
-        sign = np.sign(l)
-        grad = np.einsum("im,ij,jm->m", u, sign, u)
-        lam = lam - (step_scale / np.sqrt(t)) * grad
-        lam[1:] = _project_simplex(lam[1:], float(n))
-        lam[0] = 0.0
-    l = (u * best) @ u.T
-    return Laplacian(l, kind="combinatorial", check=False)
-
-
 def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Laplacian]:
     """Recover Laplacian eigenvalues from a correlation matrix by fitting a
     monotone polynomial to the sorted eigenvalue magnitudes.
@@ -365,7 +319,9 @@ def learn_from_sources(x, j, rho: float | None = None,
     With P >= N-1 snapshots the reduced Laplacian comes from a pseudo-inverse;
     with fewer it is built row by row with an L1 penalty (rho required). The
     final row and column complete the zero row/column sums, and the output is
-    symmetrized by averaging.
+    symmetrized by averaging. A given ``report`` dict receives ``asymmetry``;
+    the sparse branch adds ``converged`` (every row lasso converged) and
+    ``unconverged_rows``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     j = np.atleast_2d(np.asarray(j, dtype=float))
@@ -391,8 +347,15 @@ def learn_from_sources(x, j, rho: float | None = None,
         gram = x_red @ x_red.T
         cross = x_red @ j_red.T
         l_red = np.empty((n - 1, n - 1))
+        unconverged: list[int] = []
         for k in range(n - 1):
-            l_red[k] = lasso_gram(gram, cross[:, k], cfg).coefficients
+            res = lasso_gram(gram, cross[:, k], cfg)
+            l_red[k] = res.coefficients
+            if not res.converged:
+                unconverged.append(k)
+        if report is not None:
+            report["converged"] = not unconverged
+            report["unconverged_rows"] = unconverged
 
     l = np.zeros((n, n))
     l[: n - 1, : n - 1] = l_red

@@ -212,7 +212,8 @@ def commute_time(g: Graph, m: int, n: int) -> float:
 def label_propagation(g: Graph, labels: BoundaryCondition,
                       max_iter: int = 10_000, tol: float = 1e-10) -> np.ndarray:
     """Diffuse known labels through the row-normalized weight matrix,
-    re-pinning the labeled vertices each sweep."""
+    re-pinning the labeled vertices each sweep; NumericalError if the
+    sweeps still move by tol or more after max_iter of them."""
     w = np.asarray(g.w, dtype=float)
     n = w.shape[0]
     labeled = labels.indices(n)
@@ -236,7 +237,7 @@ def label_propagation(g: Graph, labels: BoundaryCondition,
         if np.max(np.abs(x_new - x)) < tol:
             return x_new
         x = x_new
-    return x
+    raise NumericalError(f"label propagation did not converge in {max_iter} sweeps")
 
 
 def sparse_source_denoise(l: Laplacian, y, k: int, reference: int) -> np.ndarray:

@@ -70,7 +70,11 @@ def soft_threshold(y, t):
     """Shrink toward zero: y+t below -t, 0 inside [-t, t], y-t above t."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("threshold must be >= 0")
-    y = np.asarray(y, dtype=float)
+    return _shrink(np.asarray(y, dtype=float), t)
+
+
+def _shrink(y: np.ndarray, t) -> np.ndarray:
+    # soft_threshold without its checks, for the ISTA loop (LassoConfig keeps rho >= 0)
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
@@ -111,7 +115,7 @@ def lasso_gram(g, c, cfg: LassoConfig) -> LassoResult:
     x = c
     obj_prev = np.inf
     for iterations in range(1, cfg.max_iter + 1):
-        x_new = soft_threshold(x + 2.0 * alpha * (c - g @ x), alpha * cfg.rho)
+        x_new = _shrink(x + 2.0 * alpha * (c - g @ x), alpha * cfg.rho)
         if cfg.debug:
             # without y'y the objective can be negative, hence the |.| scale
             obj = float(x_new @ g @ x_new - 2.0 * c @ x_new + cfg.rho * np.sum(np.abs(x_new)))

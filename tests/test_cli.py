@@ -1,5 +1,6 @@
 """End-to-end command-line tests, driven in process through dispatch()."""
 
+import argparse
 import json
 import re
 import shlex
@@ -323,3 +324,50 @@ class TestDryRun:
                    "--mode", "no_such_mode", "--seed", "0", "--p", "1",
                    "--dry-run")
         assert code == 1
+
+
+def parser_commands() -> set[str]:
+    """Every runnable command of build_parser(), named as in DRY_RUNS."""
+    def subcommands(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), {})
+    names = set()
+    for group, parser in subcommands(build_parser()).items():
+        inner = subcommands(parser)
+        if inner:
+            names.update(f"{group}-{name}" for name in inner)
+        else:
+            names.add(group)
+    return names
+
+
+class TestRunnerContract:
+    def test_every_command_has_a_dry_run_case(self):
+        assert parser_commands() == {name for name, _ in DRY_RUNS}
+
+    @pytest.mark.parametrize("argv,out", [
+        (lambda d: ["learn", "lasso", "--obs", d / "design.csv", "--target",
+                    d / "target.csv", "--rho", "0.001", "--max-iter", "1"], "c.csv"),
+        (lambda d: ["solve", "pagerank", "--graph", d / "pages.json",
+                    "--max-iter", "1"], "s.csv"),
+    ], ids=["learn-lasso", "solve-pagerank"])
+    def test_strict_nonconvergence_writes_nothing(self, argv, out, tmp_path, monkeypatch,
+                                                  inputs, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv(inputs), "--out", out, "--report", "r.json") == 0
+        assert json.loads((tmp_path / "r.json").read_text())["converged"] is False
+        for p in tmp_path.iterdir():
+            p.unlink()
+        assert run(*argv(inputs), "--out", out, "--report", "r.json", "--strict") == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("verify", "--report", "r.json") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("ok ") for line in lines)
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["command"] == "verify"
+        assert report["converged"] is True
+        assert report["outputs"] == {}

@@ -12,7 +12,6 @@ from graphtopo.learning import (
     neighborhood_regression,
     polynomial_fit_eigenvalues,
     smooth_learn,
-    spectral_topology_full,
     symmetrize_geometric,
     weight_mse_db,
 )
@@ -196,55 +195,6 @@ class TestSmoothLearn:
             smooth_learn(x, alpha=-0.1, beta=1.0)
 
 
-def path_modes_matrix(n, f):
-    g = path_graph(n)
-    dec = eig_sym(laplacian(g).l)
-    return (dec.eigenvectors * f(dec.eigenvalues)) @ dec.eigenvectors.T, dec
-
-
-class TestSpectralTopologyFull:
-    def test_reaches_global_optimum_value(self):
-        # every Laplacian with trace N shares the entrywise L1 value 2N, so
-        # the subgradient search is judged by objective, not pattern
-        r, _ = path_modes_matrix(5, lambda lam: 0.1 + lam ** 2)
-        l = spectral_topology_full(r, iters=2000, step_scale=0.5).l
-        assert np.sum(np.abs(l)) == pytest.approx(10.0, abs=1e-6)
-        assert np.trace(l) == pytest.approx(5.0, abs=1e-9)
-        assert np.max(np.abs(l.sum(axis=1))) < 1e-9
-
-    @pytest.mark.xfail(
-        reason="the entrywise L1 objective is constant across all valid "
-               "Laplacians sharing the eigenbasis, so the minimizer is not "
-               "unique and the path pattern is unidentifiable",
-        strict=True)
-    def test_path_pattern_recovery(self):
-        n = 5
-        r, _ = path_modes_matrix(n, lambda lam: 0.1 + lam ** 2)
-        l = spectral_topology_full(r, iters=2000, step_scale=0.5).l
-        off_path = [abs(l[i, j]) for i in range(n) for j in range(n)
-                    if i != j and abs(i - j) != 1]
-        assert max(off_path) < 0.05 * np.max(np.abs(l))
-
-    def test_two_vertices_constraint_determined(self):
-        r = np.array([[2.0, 1.0], [1.0, 2.0]])
-        l = spectral_topology_full(r).l
-        np.testing.assert_allclose(np.linalg.eigvalsh(l), [0.0, 2.0], atol=1e-9)
-
-    def test_permutation_consistency(self):
-        n = 5
-        r, _ = path_modes_matrix(n, lambda lam: 0.1 + lam ** 2)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(n)
-        p = np.eye(n)[perm]
-        l1 = spectral_topology_full(r, iters=2000, step_scale=0.5).l
-        l2 = spectral_topology_full(p @ r @ p.T, iters=2000, step_scale=0.5).l
-        np.testing.assert_allclose(l2, p @ l1 @ p.T, atol=1e-8)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="30"):
-            spectral_topology_full(np.eye(31))
-
-
 class TestPolynomialFitEigenvalues:
     def test_linear_system_on_scaled_path(self):
         n = 5
@@ -333,6 +283,27 @@ class TestLearnFromSources:
             assert f1 >= 0.9
             assert np.max(np.abs(l_hat.l.sum(axis=1))) < 1e-9
             assert np.max(np.abs(l_hat.l.sum(axis=0))) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_sparse_branch_reports_unconverged_rows(self):
+        # the input of test_sparse_branch_support_recovery at seed 100, where
+        # most row lassos stop at the default cap of 1000 iterations
+        rng = np.random.default_rng(100)
+        g = random_connected_graph(rng, 50, p_edge=0.08, w_low=0.3)
+        x = rng.normal(size=(50, 40))
+        report = {}
+        learn_from_sources(x, laplacian(g).l @ x, rho=5.0, report=report)
+        assert report["converged"] is False
+        rows = report["unconverged_rows"]
+        assert 0 < len(rows) < 49
+        assert rows == sorted(set(rows)) and set(rows) <= set(range(49))
+
+    def test_pinv_branch_reports_no_convergence_flag(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 3))
+        report = {}
+        learn_from_sources(x, np.zeros((4, 3)), report=report)
+        assert set(report) == {"asymmetry"}
 
     def test_zero_row_and_column_sums(self):
         rng = np.random.default_rng(1)

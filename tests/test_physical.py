@@ -325,6 +325,12 @@ class TestLabelPropagation:
         with pytest.raises(ValueError, match="component"):
             label_propagation(Graph.from_weights(w), BoundaryCondition({0: 1.0}))
 
+    def test_sweep_cap_raises(self):
+        # the free end starts at the label mean 0.5 and the first sweep moves it to 1
+        with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
+            label_propagation(path_graph(3), BoundaryCondition({0: 0.0, 1: 1.0}),
+                              max_iter=1)
+
 
 class TestSparseSourceDenoise:
     @staticmethod
