@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.sparse import csgraph
 
 __all__ = [
     "SYM_TOL",
@@ -248,9 +247,22 @@ def connected_components(w) -> list[list[int]]:
     smallest vertex; an isolated vertex is a component of its own.
     """
     w = _as_square(w, "weight matrix")
-    count, labels = csgraph.connected_components(w > 0, directed=False)
-    comps = [np.flatnonzero(labels == k).tolist() for k in range(count)]
-    return sorted(comps, key=lambda c: c[0])
+    adj = (w > 0) | (w > 0).T
+    label = np.full(w.shape[0], -1)
+    comps = []
+    # each search starts at the smallest vertex no earlier search reached, so
+    # the components come out ordered by their smallest vertex
+    for v in range(w.shape[0]):
+        if label[v] >= 0:
+            continue
+        k = len(comps)
+        label[v] = k
+        frontier = np.array([v])
+        while frontier.size:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
+            label[frontier] = k
+        comps.append(np.flatnonzero(label == k).tolist())
+    return comps
 
 
 def laplacian(g: Graph, kind: LaplacianKind = "combinatorial",

@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 from .core import Graph, Laplacian, NumericalError, eig_sym
 from .solvers import LassoConfig, lasso_gram
@@ -240,6 +239,8 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
     through the monotone polynomial by bisection, then the set rescales to
     sum N.
     """
+    from scipy.interpolate import BarycentricInterpolator
+
     r = np.asarray(r, dtype=float)
     n = r.shape[0]
     decomp = eig_sym(r)

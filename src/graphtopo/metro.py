@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .core import Graph, Laplacian, NumericalError, connected_components, pseudo_inverse
 
@@ -76,6 +75,8 @@ def betweenness(g: Graph) -> np.ndarray:
 
 def _hop_pairs(hops: np.ndarray) -> tuple[np.ndarray, float, int]:
     """All-pairs hop distances, their finite pair sum and the finite pair count."""
+    from scipy.sparse.csgraph import shortest_path
+
     dist = shortest_path(hops, unweighted=True, directed=False)
     finite = np.isfinite(dist)
     np.fill_diagonal(finite, False)

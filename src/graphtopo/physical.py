@@ -171,13 +171,21 @@ def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
     rows = w / w.sum(axis=1, keepdims=True)
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = 1.0
+    # an isolated vertex has a NaN row; read as 1.0 it keeps the table sorted
+    # and sends walkers there to vertex 0
+    np.nan_to_num(cum, copy=False, nan=1.0)
+    # row s shifted to [2s, 2s + 1]: the flat table is sorted and a query
+    # 2s + u never lands in another row, even where the sum rounds
+    table = (cum + 2.0 * np.arange(n)[:, None]).ravel()
     rng = np.random.default_rng(seed)
     state = np.full(walks, start, dtype=np.int64)
     steps = np.zeros(walks, dtype=np.int64)
     active = np.arange(walks)
     for _ in range(max_steps):
         u = rng.random(active.size)
-        nxt = (u[:, None] > cum[state[active]]).sum(axis=1)
+        s = state[active]
+        # next vertex: the number of entries of cum[s] below u
+        nxt = np.searchsorted(table, u + 2.0 * s) - n * s
         state[active] = nxt
         steps[active] += 1
         still = nxt != target

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import Graph, NumericalError, connected_components, eig_sym, laplacian
 from .learning import ObservationMatrix
@@ -133,11 +132,14 @@ def _prepare(g: Graph, spec: SimSpec):
         if len(connected_components(g.w)) > 1:
             raise NumericalError(f"mode {mode!r} requires a connected graph")
 
-    if mode == "sources":
+    if mode in ("sources", "dipole"):
+        from scipy.linalg import cho_factor, cho_solve
+
         # x(0) = 0 is the reference; the reduced Laplacian is positive
         # definite on a connected graph.
         fac = cho_factor(laplacian(g).l[1:, 1:])
 
+    if mode == "sources":
         def draw(rng):
             eps = rng.standard_normal(n)
             c = int(rng.integers(n))
@@ -149,8 +151,6 @@ def _prepare(g: Graph, spec: SimSpec):
         return draw
 
     if mode == "dipole":
-        fac = cho_factor(laplacian(g).l[1:, 1:])
-
         def draw(rng):
             pair = rng.choice(n, size=2, replace=False)
             amp = float(rng.standard_normal())

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -371,3 +374,59 @@ class TestRunnerContract:
         assert report["command"] == "verify"
         assert report["converged"] is True
         assert report["outputs"] == {}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python -c code args` in a fresh interpreter that imports graphtopo from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=150)
+
+
+# Runs each (name, argv) through cli.main with scipy made unimportable and
+# prints {name: exit code or the exception raised} as its last line.
+BLOCKED_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+from graphtopo import cli
+codes = {}
+for name, argv in json.loads(sys.argv[1]):
+    sys.argv = ["graphtopo", *argv]
+    try:
+        cli.main()
+    except SystemExit as e:
+        codes[name] = e.code
+    except Exception as e:
+        codes[name] = repr(e)
+print(json.dumps(codes))
+"""
+
+# Commands that must run without scipy; the others import it inside the
+# function that needs it.
+SCIPY_FREE = [
+    ("gen-signal", lambda d: [*TestDeterminism.ARGS, "--graph", d / "bench8.json"]),
+    ("learn-regress", lambda d: ["learn", "regress", "--obs", d / "obs.csv",
+                                 "--rho", "0.1", "--clamp-negative"]),
+    *((name, argv) for name, argv in DRY_RUNS if name in {
+        "learn-glasso", "learn-smooth", "solve-circuit", "solve-absorb", "solve-hitting",
+        "solve-commute", "solve-pagerank", "solve-propagate", "solve-denoise",
+        "lattice-gdft", "portfolio-allocate", "verify"}),
+]
+
+
+class TestScipyFree:
+    def test_import_loads_no_scipy(self):
+        proc = run_python("import sys, graphtopo, graphtopo.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path, inputs):
+        cases = [(name, [str(a) for a in argv(inputs)]) for name, argv in SCIPY_FREE]
+        proc = run_python(BLOCKED_RUN, json.dumps(cases), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == {name: 0 for name, _ in cases}, proc.stderr

@@ -289,3 +289,44 @@ class TestConnectedComponents:
         assert cut.from_components
         assert cut.side_one == (0, 3)
         assert cut.side_two == (1, 2, 4, 5)
+
+
+def csgraph_components(w) -> list[list[int]]:
+    """Oracle: scipy's undirected components of W > 0, in the same layout."""
+    from scipy.sparse import csgraph
+
+    count, labels = csgraph.connected_components(np.asarray(w) > 0, directed=False)
+    comps = [np.flatnonzero(labels == k).tolist() for k in range(count)]
+    return sorted(comps, key=lambda c: c[0])
+
+
+def random_weights(rng: np.random.Generator) -> np.ndarray:
+    """Sparse random weights, asymmetric in every third draw, with some
+    negative and NaN entries and isolated vertices."""
+    n = int(rng.integers(2, 40))
+    w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.15))
+    if rng.integers(3):
+        w = np.triu(w, 1) + np.triu(w, 1).T
+    w[rng.random((n, n)) < 0.03] = -1.0
+    w[rng.random((n, n)) < 0.03] = np.nan
+    isolated = rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False)
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    return w
+
+
+class TestConnectedComponentsOracle:
+    def test_matches_csgraph_on_random_graphs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            w = random_weights(rng)
+            assert connected_components(w) == csgraph_components(w)
+
+    @pytest.mark.parametrize("w", [np.zeros((0, 0)), np.zeros((1, 1)), np.ones((1, 1)),
+                                   np.full((1, 1), np.nan)], ids=["0x0", "1x1", "loop", "nan"])
+    def test_tiny_matrices(self, w):
+        assert connected_components(w) == csgraph_components(w)
+
+    def test_long_path(self):
+        w = path_graph(1000).w
+        assert connected_components(w) == csgraph_components(w) == [list(range(1000))]

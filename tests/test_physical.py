@@ -224,6 +224,17 @@ class TestMonteCarloHitting:
         with pytest.raises(NumericalError):
             monte_carlo_hitting(bench8, 7, 0, walks=50, seed=1, max_steps=2)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_unreached_isolated_vertex_changes_nothing(self, bench8):
+        # vertex 3 of the padded graph has no edges; the walks on the other
+        # vertices draw the same numbers and take the same steps
+        keep = [0, 1, 2, 4, 5, 6, 7, 8]
+        w = np.zeros((9, 9))
+        w[np.ix_(keep, keep)] = bench8.w
+        padded = Graph.from_weights(w)
+        assert (monte_carlo_hitting(padded, 8, 0, walks=2000, seed=7)
+                == monte_carlo_hitting(bench8, 7, 0, walks=2000, seed=7))
+
 
 class TestResistanceAndCommute:
     def test_single_edge_is_reciprocal_weight(self):
