@@ -56,9 +56,11 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def as_symmetric(m, name: str = "matrix") -> np.ndarray:
-    """(M + M') / 2 of a square M with max|M - M'| <= SYM_TOL * max(1, max|M|);
+    """(M + M') / 2 of a finite square M with max|M - M'| <= SYM_TOL * max(1, max|M|);
     any other M raises a ValueError that names the input ``name``."""
     m = _as_square(m, name)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     if _max_abs(m - m.T) > SYM_TOL * max(_max_abs(m), 1.0):
         raise ValueError(f"{name} must be symmetric")
     return (m + m.T) / 2.0
@@ -116,6 +118,8 @@ class DirectedGraph:
 
     def __post_init__(self):
         w = _as_square(self.w, "weight matrix")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight matrix must be finite")
         if w.shape[0] != self.n:
             raise ValueError(f"n={self.n} does not match matrix shape {w.shape}")
         if _max_abs(np.diag(w)) > 0:

@@ -168,15 +168,15 @@ def generalized_distance(a, b, h) -> float:
 _SPIRAL_SCALE = 1.0 / (4.0 * np.pi)
 
 
+def _spiral_antiderivative(v):
+    """Closed-form antiderivative of sqrt(1 + v^2), elementwise."""
+    s = np.sqrt(v * v + 1.0)
+    return 0.5 * v * s + 0.5 * np.log(s + v)
+
+
 def spiral_arclength(v0: float, v1: float) -> float:
-    """Arc length of the spiral (v cos v, v sin v) / (4 pi) between v0 and v1,
-    from the closed-form antiderivative of sqrt(1 + v^2)."""
-
-    def antiderivative(v: float) -> float:
-        s = np.sqrt(v * v + 1.0)
-        return 0.5 * v * s + 0.5 * np.log(s + v)
-
-    return _SPIRAL_SCALE * abs(antiderivative(v1) - antiderivative(v0))
+    """Arc length of the spiral (v cos v, v sin v) / (4 pi) between v0 and v1."""
+    return _SPIRAL_SCALE * abs(_spiral_antiderivative(v1) - _spiral_antiderivative(v0))
 
 
 def swiss_roll_graph(n: int, seed: int, kernel: KernelSpec) -> tuple[Graph, VertexCloud]:
@@ -197,8 +197,7 @@ def swiss_roll_graph(n: int, seed: int, kernel: KernelSpec) -> tuple[Graph, Vert
         _SPIRAL_SCALE * v * np.sin(v),
     ])
 
-    s = np.sqrt(v * v + 1.0)
-    anti = 0.5 * v * s + 0.5 * np.log(s + v)
+    anti = _spiral_antiderivative(v)
     arc = _SPIRAL_SCALE * np.abs(anti[:, None] - anti[None, :])
     r = np.sqrt(arc ** 2 + (u[:, None] - u[None, :]) ** 2)
     return _weights_from_distances(r, kernel), VertexCloud(coords)

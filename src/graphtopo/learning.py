@@ -239,8 +239,6 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
     through the monotone polynomial by bisection, then the set rescales to
     sum N.
     """
-    from scipy.interpolate import BarycentricInterpolator
-
     r = np.asarray(r, dtype=float)
     n = r.shape[0]
     decomp = eig_sym(r)
@@ -265,34 +263,26 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
         candidates = [tuple(row) for row in stacked
                       if np.all(np.diff(row) > 0) or row.size == 1]
 
+    poly = np.polynomial.polynomial
     check_grid = np.linspace(0.0, 1.0, 1001)
     best_score = np.inf
     best_lam = None
     found_monotone = False
     for xi in candidates:
         xs = np.concatenate([[0.0], np.asarray(xi, dtype=float), [1.0]])
-        poly = BarycentricInterpolator(xs, h[knots])
-        pv = poly(check_grid)
+        coef = poly.polyfit(xs, h[knots], m)
+        pv = poly.polyval(check_grid, coef)
         if np.any(np.diff(pv) < -1e-12) or pv[-1] - pv[0] <= 1e-12:
             continue
         found_monotone = True
-        lam_bar = np.empty(n)
-        p0, p1 = pv[0], pv[-1]
-        for k in range(n):
-            target = h[k]
-            if target <= p0:
-                lam_bar[k] = 0.0
-            elif target >= p1:
-                lam_bar[k] = 1.0
-            else:
-                lo, hi = 0.0, 1.0
-                for _ in range(60):
-                    mid = (lo + hi) / 2.0
-                    if poly(mid) < target:
-                        lo = mid
-                    else:
-                        hi = mid
-                lam_bar[k] = (lo + hi) / 2.0
+        # one bisection for all targets; those outside [p(0), p(1)] clamp to 0 or 1
+        lo, hi = np.zeros(n), np.ones(n)
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            below = poly.polyval(mid, coef) < h
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        lam_bar = np.select([h <= pv[0], h >= pv[-1]], [0.0, 1.0], (lo + hi) / 2.0)
         total = lam_bar.sum()
         if total <= 0:
             continue

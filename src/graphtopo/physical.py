@@ -163,16 +163,19 @@ def hitting_times(g: Graph, target: int) -> np.ndarray:
 def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
                         seed: int, max_steps: int = 1_000_000) -> tuple[float, float]:
     """Empirical mean and standard error of the hitting time by simulating
-    weighted random walks in parallel."""
+    weighted random walks in parallel; NumericalError if target lies in
+    another component than start."""
     if start == target:
         return 0.0, 0.0
+    if not any(start in c and target in c for c in connected_components(g.w)):
+        raise NumericalError(f"vertex {target} cannot be reached from vertex {start}")
     w = np.asarray(g.w, dtype=float)
     n = w.shape[0]
     rows = w / w.sum(axis=1, keepdims=True)
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = 1.0
-    # an isolated vertex has a NaN row; read as 1.0 it keeps the table sorted
-    # and sends walkers there to vertex 0
+    # an isolated vertex has a NaN row, which no walker reaches; read as 1.0
+    # it keeps the table sorted
     np.nan_to_num(cum, copy=False, nan=1.0)
     # row s shifted to [2s, 2s + 1]: the flat table is sorted and a query
     # 2s + u never lands in another row, even where the sum rounds

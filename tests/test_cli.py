@@ -97,6 +97,17 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run("lattice", "gdft", "--dims", "3,x") == 1
 
+    @pytest.mark.parametrize("argv,edges", [
+        (["solve", "hitting", "--target", "2"], [[0, 1, 1.0], [1, 2, np.nan]]),
+        (["solve", "pagerank"], [[0, 1, 1.0], [1, 2, np.nan], [2, 0, 1.0]]),
+    ], ids=["hitting", "pagerank"])
+    def test_non_finite_weight_exits_one(self, argv, edges, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": edges}))
+        assert run(*argv, "--graph", "g.json", "--out", "out.csv") == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
 
 class TestRegressReport:
     def test_unconverged_rows_reported(self, tmp_path, monkeypatch, inputs):
@@ -411,9 +422,9 @@ SCIPY_FREE = [
     ("learn-regress", lambda d: ["learn", "regress", "--obs", d / "obs.csv",
                                  "--rho", "0.1", "--clamp-negative"]),
     *((name, argv) for name, argv in DRY_RUNS if name in {
-        "learn-glasso", "learn-smooth", "solve-circuit", "solve-absorb", "solve-hitting",
-        "solve-commute", "solve-pagerank", "solve-propagate", "solve-denoise",
-        "lattice-gdft", "portfolio-allocate", "verify"}),
+        "learn-glasso", "learn-smooth", "learn-polyfit", "solve-circuit", "solve-absorb",
+        "solve-hitting", "solve-commute", "solve-pagerank", "solve-propagate",
+        "solve-denoise", "lattice-gdft", "portfolio-allocate", "verify"}),
 ]
 
 

@@ -230,6 +230,17 @@ class TestPolynomialFitEigenvalues:
         assert lam1[0] == pytest.approx(0.0, abs=1e-9)
         assert lam1.sum() == pytest.approx(6.0, abs=1e-9)
 
+    def test_m1_is_the_linear_map(self):
+        # with knots at the ends the fit is the line through (0, h_0) and
+        # (1, h_{n-1}), so each eigenvalue maps back in closed form
+        rng = np.random.default_rng(11)
+        b = rng.normal(size=(9, 30))
+        r = b @ b.T / 30.0
+        h = np.sqrt(np.maximum(np.linalg.eigvalsh(r), 0.0))
+        lam_bar = np.clip((h - h[0]) / (h[-1] - h[0]), 0.0, 1.0)
+        lam, _ = polynomial_fit_eigenvalues(r, PolyFitConfig(m=1))
+        np.testing.assert_allclose(lam, 9 * lam_bar / lam_bar.sum(), rtol=0, atol=1e-12)
+
     def test_no_monotone_candidate(self):
         r = np.diag([0.0, 0.0, 0.0, 0.0, 1.0])
         with pytest.raises(NumericalError, match="monotone"):

@@ -224,6 +224,15 @@ class TestMonteCarloHitting:
         with pytest.raises(NumericalError):
             monte_carlo_hitting(bench8, 7, 0, walks=50, seed=1, max_steps=2)
 
+    def test_unreachable_target_raises(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+        g = Graph.from_weights(w)
+        with pytest.raises(NumericalError, match="cannot be reached"):
+            monte_carlo_hitting(g, 3, 2, walks=1000, seed=0)
+        with pytest.raises(NumericalError, match="cannot be reached"):
+            monte_carlo_hitting(g, 0, 3, walks=1000, seed=0)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_unreached_isolated_vertex_changes_nothing(self, bench8):
         # vertex 3 of the padded graph has no edges; the walks on the other
