@@ -312,7 +312,8 @@ def _learn_glasso(args, inputs) -> Result:
     return Result({"precision": (args.out, q)},
                   {"nonzero_offdiag": int(np.count_nonzero(off)),
                    "sweeps": details["sweeps"],
-                   "unconverged_inner": details["unconverged_inner"]},
+                   "unconverged_inner": details["unconverged_inner"],
+                   "inner_iterations": details["inner_iterations"]},
                   {"diagonal": np.diag(q)}, details["converged"])
 
 
@@ -333,7 +334,8 @@ def _learn_regress(args, x) -> Result:
                                 report=details)
     g = symmetrize_geometric(b, clamp_negative=args.clamp_negative)
     return _learned(args, g.w, laplacian(g).l,
-                    {"rho": args.rho, "unconverged_rows": details["unconverged_rows"]},
+                    {"rho": args.rho, "unconverged_rows": details["unconverged_rows"],
+                     "iterations": details["iterations"]},
                     converged=details["converged"])
 
 

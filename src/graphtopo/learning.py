@@ -117,29 +117,32 @@ def neighborhood_regression(x, rho: float, max_iter: int = 1000,
     """Regress each vertex signal on all the others with an L1 penalty.
 
     Row n holds the coefficients of the remaining vertices in their original
-    order; the diagonal stays zero. A given ``report`` dict receives
-    ``converged`` (every row lasso converged) and ``unconverged_rows``.
+    order; the diagonal stays zero. All rows are solved in one
+    :func:`lasso_gram` block on the Gram S = XX', row n on S without row and
+    column n. A given ``report`` dict receives ``converged`` (every row lasso
+    converged), ``unconverged_rows`` and ``iterations`` (the rows' total).
     """
     arr, _ = _as_signal(x)
     n = arr.shape[0]
     b = np.zeros((n, n))
     unconverged: list[int] = []
+    iterations = 0
     # a single vertex has nothing to regress on
     if n > 1:
-        cfg = LassoConfig(rho=rho, max_iter=max_iter, tol=tol)
+        signalled = np.flatnonzero(np.any(arr, axis=1))
+        if signalled.size < 2:
+            row = signalled[0] if signalled.size else 0
+            raise ValueError(f"vertex {row}: every other vertex signal is zero")
         s = arr @ arr.T
-        for row in range(n):
-            others = np.delete(np.arange(n), row)
-            try:
-                res = lasso_gram(s[np.ix_(others, others)], s[others, row], cfg)
-            except (ValueError, NumericalError) as exc:
-                raise type(exc)(f"vertex {row}: {exc}") from exc
-            b[row, others] = res.coefficients
-            if not res.converged:
-                unconverged.append(row)
+        res = lasso_gram(s, s, LassoConfig(rho=rho, max_iter=max_iter, tol=tol),
+                         leave_one_out=True)
+        b = res.coefficients.T
+        unconverged = np.flatnonzero(~res.converged).tolist()
+        iterations = int(res.iterations.sum())
     if report is not None:
         report["converged"] = not unconverged
         report["unconverged_rows"] = unconverged
+        report["iterations"] = iterations
     return BetaMatrix(b)
 
 
@@ -334,19 +337,12 @@ def learn_from_sources(x, j, rho: float | None = None,
     else:
         if rho is None:
             raise ValueError("rho is required when P < N-1")
-        cfg = LassoConfig(rho=rho)
-        gram = x_red @ x_red.T
-        cross = x_red @ j_red.T
-        l_red = np.empty((n - 1, n - 1))
-        unconverged: list[int] = []
-        for k in range(n - 1):
-            res = lasso_gram(gram, cross[:, k], cfg)
-            l_red[k] = res.coefficients
-            if not res.converged:
-                unconverged.append(k)
+        # row k of the reduced Laplacian is column k of one lasso block
+        res = lasso_gram(x_red @ x_red.T, x_red @ j_red.T, LassoConfig(rho=rho))
+        l_red = res.coefficients.T
         if report is not None:
-            report["converged"] = not unconverged
-            report["unconverged_rows"] = unconverged
+            report["converged"] = bool(np.all(res.converged))
+            report["unconverged_rows"] = np.flatnonzero(~res.converged).tolist()
 
     l = np.zeros((n, n))
     l[: n - 1, : n - 1] = l_red

@@ -171,12 +171,12 @@ def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
         raise NumericalError(f"vertex {target} cannot be reached from vertex {start}")
     w = np.asarray(g.w, dtype=float)
     n = w.shape[0]
-    rows = w / w.sum(axis=1, keepdims=True)
-    cum = np.cumsum(rows, axis=1)
+    deg = w.sum(axis=1)
+    moves = deg > 0
+    # no walker reaches an isolated vertex; its row of 1.0 keeps the table sorted
+    cum = np.ones((n, n))
+    cum[moves] = np.cumsum(w[moves] / deg[moves, None], axis=1)
     cum[:, -1] = 1.0
-    # an isolated vertex has a NaN row, which no walker reaches; read as 1.0
-    # it keeps the table sorted
-    np.nan_to_num(cum, copy=False, nan=1.0)
     # row s shifted to [2s, 2s + 1]: the flat table is sorted and a query
     # 2s + u never lands in another row, even where the sum rounds
     table = (cum + 2.0 * np.arange(n)[:, None]).ravel()

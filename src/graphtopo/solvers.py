@@ -58,9 +58,12 @@ class GlassoConfig:
 
 @dataclass(frozen=True)
 class LassoResult:
+    """Outcome of :func:`lasso_gram`; for a block of right-hand sides,
+    ``iterations`` and ``converged`` hold one entry per column."""
+
     coefficients: np.ndarray
-    iterations: int
-    converged: bool
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.coefficients, dtype=dtype)
@@ -78,56 +81,107 @@ def _shrink(y: np.ndarray, t) -> np.ndarray:
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
-def _largest_eigenvalue(g: np.ndarray) -> float:
-    # power iteration; deterministic start breaks eigenvector orthogonality
-    n = g.shape[0]
-    z = np.ones(n) + 1e-4 * np.arange(n)
-    z /= np.linalg.norm(z)
-    lam = 0.0
-    for _ in range(500):
-        gz = g @ z
-        norm = np.linalg.norm(gz)
-        if norm == 0.0:
-            return 0.0
-        z = gz / norm
-        lam_new = float(z @ g @ z)
-        if abs(lam_new - lam) <= 1e-6 * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def lasso_gram(g, c, cfg: LassoConfig) -> LassoResult:
+def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> LassoResult:
     """Minimize x'Gx - 2c'x + rho ||x||_1 by iterative soft-thresholding.
 
     With G = A'A and c = A'y this is the lasso ||y - Ax||^2 + rho ||x||_1 less
-    its constant y'y. Step size is 1/(2 lambda_max(G)); the iterate starts at
-    c and the loop stops on relative change below cfg.tol or at cfg.max_iter.
+    its constant y'y. A 2-D c is a block of right-hand sides solved in one
+    loop, one problem per column: each column has its own step, stops on its
+    own and is frozen from then on. With ``leave_one_out`` the block is square
+    and column k is solved on G without row and column k, so x[k, k] stays 0.
+
+    A column's step is 1/(2 lambda_max) of its Gram. The iterate starts at x0
+    (c by default) and each column stops on relative change below cfg.tol or
+    at cfg.max_iter.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if g.shape != (c.size, c.size):
+    c = np.asarray(c, dtype=float)
+    if c.ndim > 2:
+        raise ValueError("c must be a vector or a matrix")
+    block = c.ndim == 2
+    if x0 is not None and np.shape(x0) != c.shape:
+        raise ValueError("x0 must have the shape of c")
+    if not block:
+        c = c.reshape(-1)
+    m, k = c.shape if block else (c.size, 1)
+    if g.shape != (m, m):
         raise ValueError("g must be square with one row per entry of c")
-    if not np.any(g):
-        raise ValueError("g must have at least one nonzero entry")
+    x = np.array(c if x0 is None else x0, dtype=float).reshape(c.shape)
+    if leave_one_out:
+        if k != m or not block:
+            raise ValueError("leave_one_out needs one column of c per row of g")
+        # one sub-Gram at a time, so memory stays O(m^2)
+        grams = (np.delete(np.delete(g, j, axis=0), j, axis=1) for j in range(m))
+        x[np.diag_indices(m)] = 0.0
+    else:
+        grams = (g,)
+    lam = []
+    for j, sub in enumerate(grams):
+        if not np.any(sub):
+            where = f" without row and column {j}" if leave_one_out else ""
+            raise ValueError(f"g{where} must have at least one nonzero entry")
+        lam.append(np.linalg.eigvalsh(sub)[-1])
+    alpha = 1.0 / (2.0 * np.array(lam))
+    # one right-hand side runs on a vector with a scalar step: glasso's column
+    # lassos are small, so numpy's per-call cost, not the arithmetic, sets the
+    # pace, and as an (m, 1) block they made glasso about 1.6 times slower
+    if block:
+        alpha = np.broadcast_to(alpha, (k,))
+        def sq(v): return np.einsum("ij,ij->j", v, v)
+    else:
+        alpha = float(alpha[0])
+        def sq(v): return v @ v
 
-    alpha = 1.0 / (2.0 * _largest_eigenvalue(g))
-    x = c
-    obj_prev = np.inf
-    for iterations in range(1, cfg.max_iter + 1):
-        x_new = _shrink(x + 2.0 * alpha * (c - g @ x), alpha * cfg.rho)
+    iterations = np.full(k, cfg.max_iter)
+    converged = np.zeros(k, dtype=bool)
+    # the columns still iterating: their index, iterate, c, step 2 alpha,
+    # threshold alpha rho, last objective and the bound on ||x_new - x||^2
+    live, xl, cl, a2, thr = np.arange(k), x, c, 2.0 * alpha, alpha * cfg.rho
+    obj_prev = np.full(k, np.inf)
+    # the stop test ||x_new - x|| / max(||x||, 1e-12) < tol, squared; <= lets
+    # an exact fixed point stop where tol^2 underflows
+    tol2 = cfg.tol * cfg.tol
+    lim = tol2 * (sq(xl) + 1e-24)
+    for it in range(1, cfg.max_iter + 1):
+        y = cl - g @ xl
+        y *= a2
+        y += xl
+        x_new = _shrink(y, thr)
+        if leave_one_out:
+            x_new[live, np.arange(live.size)] = 0.0
         if cfg.debug:
             # without y'y the objective can be negative, hence the |.| scale
-            obj = float(x_new @ g @ x_new - 2.0 * c @ x_new + cfg.rho * np.sum(np.abs(x_new)))
-            if obj > obj_prev + 1e-12 * max(1.0, abs(obj_prev)):
+            xv = x_new.reshape(m, -1)
+            obj = (np.einsum("ij,ij->j", xv, g @ xv - 2.0 * cl.reshape(m, -1))
+                   + cfg.rho * np.sum(np.abs(xv), axis=0))
+            up = np.flatnonzero(obj > obj_prev + 1e-12 * np.maximum(1.0, np.abs(obj_prev)))
+            if up.size:
+                j = up[0]
+                where = f" in column {live[j]}" if block else ""
                 raise NumericalError(
-                    f"objective increased at iteration {iterations}: "
-                    f"{obj_prev!r} -> {obj!r}")
+                    f"objective increased at iteration {it}{where}: "
+                    f"{obj_prev[j]!r} -> {obj[j]!r}")
             obj_prev = obj
-        converged = bool(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12) < cfg.tol)
-        x = x_new
-        if converged:
-            break
+        d = x_new - xl
+        done = sq(d) <= lim
+        xl = x_new
+        lim = tol2 * (sq(xl) + 1e-24)
+        if not block:
+            if done:
+                break
+        elif np.count_nonzero(done):
+            x[:, live[done]] = xl[:, done]
+            iterations[live[done]] = it
+            converged[live[done]] = True
+            keep = ~done
+            live, xl, cl, a2, thr, obj_prev, lim = (
+                live[keep], xl[:, keep], cl[:, keep], a2[keep], thr[keep],
+                obj_prev[keep], lim[keep])
+            if not live.size:
+                break
+    if not block:
+        return LassoResult(xl, it, bool(done))
+    x[:, live] = xl
     return LassoResult(x, iterations, converged)
 
 
@@ -148,11 +202,13 @@ def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
     covariance V = R + rho I.
 
     Each sweep updates one row/column at a time from an L1-penalized
-    regression on the remaining block, :func:`lasso_gram` on (V11, r12);
-    sweeping stops when the mean absolute change falls below eps scaled by
-    the mean off-diagonal magnitude of R. Returns the inverse of the final V.
-    A given ``report`` dict receives ``sweeps``, ``unconverged_inner`` and
-    ``converged`` (sweep test met and every column lasso converged).
+    regression on the remaining block, :func:`lasso_gram` on (V11, r12),
+    started from that column's coefficients of the previous sweep; sweeping
+    stops when the mean absolute change falls below eps scaled by the mean
+    off-diagonal magnitude of R. Returns the inverse of the final V.
+    A given ``report`` dict receives ``sweeps``, ``unconverged_inner``,
+    ``inner_iterations`` (the column lassos' total) and ``converged`` (sweep
+    test met and every column lasso converged).
     """
     r = as_symmetric(r, "r")
     n = r.shape[0]
@@ -164,8 +220,10 @@ def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
     c_p = np.mean(np.abs(r - np.diag(np.diag(r)))) * cfg.eps
     v = r + cfg.rho * np.eye(n)
     inner = LassoConfig(rho=cfg.rho, max_iter=1000, tol=1e-8)
+    # row j: column j's lasso coefficients, the warm start of its next solve
+    beta = np.zeros((n, n - 1))
     # a single vertex has no off-diagonal column to update
-    sweeps, swept, unconverged = 0, n == 1, 0
+    sweeps, swept, unconverged, iterations = 0, n == 1, 0, 0
     while not swept and sweeps < cfg.max_sweeps:
         sweeps += 1
         v_start = v.copy()
@@ -174,18 +232,19 @@ def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
             v11 = v[np.ix_(idx, idx)]
             r12 = r[idx, j]
             if not np.any(v11) or not np.any(r12):
-                beta = np.zeros(n - 1)
+                beta[j] = 0.0
             else:
-                res = lasso_gram(v11, r12, inner)
-                beta = res.coefficients
+                res = lasso_gram(v11, r12, inner, x0=beta[j] if sweeps > 1 else None)
+                beta[j] = res.coefficients
                 unconverged += not res.converged
-            v12 = v11 @ beta
+                iterations += res.iterations
+            v12 = v11 @ beta[j]
             v[idx, j] = v12
             v[j, idx] = v12
         swept = np.mean(np.abs(v - v_start)) < c_p
     if report is not None:
         report.update(sweeps=sweeps, unconverged_inner=unconverged,
-                      converged=bool(swept) and not unconverged)
+                      inner_iterations=iterations, converged=bool(swept) and not unconverged)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > 1e14:
         raise NumericalError(

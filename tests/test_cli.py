@@ -16,6 +16,7 @@ from graphtopo import io
 from graphtopo.cli import build_parser, dispatch
 from graphtopo.core import Graph, laplacian
 from graphtopo.physical import BoundaryCondition, circuit_solve, hitting_times
+from graphtopo.solvers import GlassoConfig, glasso
 
 from conftest import BENCH8_EDGES, PAGES8_LINKS, weights_from_edges
 
@@ -118,6 +119,8 @@ class TestRegressReport:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is False
         assert report["metrics"]["unconverged_rows"] == list(range(8))
+        # every row runs to the cap of 5 iterations
+        assert report["metrics"]["iterations"] == 8 * 5
 
     def test_converged_run(self, tmp_path, monkeypatch, inputs):
         monkeypatch.chdir(tmp_path)
@@ -137,6 +140,9 @@ class TestGlassoReport:
         assert report["converged"] is True
         assert report["metrics"]["sweeps"] >= 1
         assert report["metrics"]["unconverged_inner"] == 0
+        details: dict = {}
+        glasso(io.read_matrix_csv(inputs / "corr.csv"), GlassoConfig(rho=0.1), report=details)
+        assert report["metrics"]["inner_iterations"] == details["inner_iterations"] > 0
 
     def test_sweep_cap_reported(self, tmp_path, monkeypatch, inputs):
         monkeypatch.chdir(tmp_path)

@@ -15,6 +15,7 @@ from graphtopo.learning import (
     symmetrize_geometric,
     weight_mse_db,
 )
+from graphtopo.solvers import LassoConfig, lasso_gram
 
 from conftest import (
     chain4_correlation,
@@ -126,7 +127,31 @@ class TestNeighborhoodRegression:
     def test_report_converged(self):
         report: dict = {}
         neighborhood_regression(chain4_observations(400), rho=0.0, report=report)
+        iterations = report.pop("iterations")
         assert report == {"converged": True, "unconverged_rows": []}
+        assert 4 <= iterations < 4 * 1000
+
+    @pytest.mark.parametrize("max_iter", [1000, 200])
+    def test_matches_row_lassos(self, max_iter):
+        # at the cap of 200 iterations rows 0, 1, 3 and 6 converge, the rest do not
+        x = np.random.default_rng(5).normal(size=(8, 40))
+        x[1:] += 0.8 * x[:-1]
+        report: dict = {}
+        b = neighborhood_regression(x, rho=5.0, max_iter=max_iter, report=report)
+        s = x @ x.T
+        cfg = LassoConfig(rho=5.0, max_iter=max_iter)
+        unconverged, iterations = [], 0
+        for row in range(8):
+            others = np.delete(np.arange(8), row)
+            res = lasso_gram(s[np.ix_(others, others)], s[others, row], cfg)
+            np.testing.assert_allclose(b.b[row, others], res.coefficients, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(res.coefficients)))
+            iterations += res.iterations
+            if not res.converged:
+                unconverged.append(row)
+        assert report["unconverged_rows"] == unconverged
+        assert report["iterations"] == iterations
+        assert unconverged == ([] if max_iter == 1000 else [2, 4, 5, 7])
 
     def test_row_error_carries_vertex_index(self):
         x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

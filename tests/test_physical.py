@@ -1,6 +1,8 @@
 """Tests for circuit solves, random-walk quantities, PageRank, label
 propagation, and sparse source recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,7 +235,14 @@ class TestMonteCarloHitting:
         with pytest.raises(NumericalError, match="cannot be reached"):
             monte_carlo_hitting(g, 0, 3, walks=1000, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_isolated_vertex_raises_no_warning(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, _ = monte_carlo_hitting(Graph.from_weights(w), 0, 2, walks=100, seed=0)
+        assert mean >= 2
+
     def test_unreached_isolated_vertex_changes_nothing(self, bench8):
         # vertex 3 of the padded graph has no edges; the walks on the other
         # vertices draw the same numbers and take the same steps

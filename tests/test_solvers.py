@@ -245,6 +245,65 @@ class TestLassoGram:
         with pytest.raises(ValueError, match="square"):
             lasso_gram(np.eye(3), np.ones(2), LassoConfig())
 
+    @staticmethod
+    def _block(seed=11):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(30, 12))
+        return a.T @ a, a.T @ rng.normal(size=(30, 6))
+
+    @pytest.mark.parametrize("max_iter", [1000, 5])
+    def test_block_matches_column_calls(self, max_iter):
+        g, c = self._block()
+        cfg = LassoConfig(rho=2.0, max_iter=max_iter)
+        res = lasso_gram(g, c, cfg)
+        cols = [lasso_gram(g, c[:, k], cfg) for k in range(c.shape[1])]
+        expect = np.column_stack([col.coefficients for col in cols])
+        assert np.max(np.abs(res.coefficients - expect)) <= 1e-12 * np.max(np.abs(expect))
+        np.testing.assert_array_equal(res.iterations, [col.iterations for col in cols])
+        np.testing.assert_array_equal(res.converged, [col.converged for col in cols])
+        assert res.converged.all() == (max_iter == 1000)
+
+    def test_leave_one_out_matches_reduced_grams(self):
+        g, _ = self._block()
+        cfg = LassoConfig(rho=2.0)
+        res = lasso_gram(g, g, cfg, leave_one_out=True)
+        np.testing.assert_array_equal(np.diag(res.coefficients), 0.0)
+        for k in range(12):
+            others = np.delete(np.arange(12), k)
+            col = lasso_gram(g[np.ix_(others, others)], g[others, k], cfg)
+            np.testing.assert_allclose(res.coefficients[others, k], col.coefficients,
+                                       rtol=0, atol=1e-12 * np.max(np.abs(col.coefficients)))
+            assert res.iterations[k] == col.iterations
+
+    def test_warm_start_at_the_solution_stops_at_once(self):
+        g, c = self._block()
+        cfg = LassoConfig(rho=2.0)
+        cold = lasso_gram(g, c[:, 0], cfg)
+        warm = lasso_gram(g, c[:, 0], cfg, x0=cold.coefficients)
+        assert cold.iterations > 1 and warm.iterations == 1 and warm.converged
+        np.testing.assert_allclose(warm.coefficients, cold.coefficients, rtol=1e-7)
+
+    def test_warm_start_shape_checked(self):
+        g, c = self._block()
+        with pytest.raises(ValueError, match="x0"):
+            lasso_gram(g, c, LassoConfig(), x0=np.zeros(12))
+
+    @pytest.mark.parametrize("leave_one_out", [False, True])
+    def test_debug_names_the_column_whose_objective_rises(self, monkeypatch, leave_one_out):
+        # a step ten times too long makes ISTA diverge wherever c is nonzero;
+        # column 0 stays at x = 0 and its objective at 0
+        g, c = self._block()
+        c[:, 0] = 0.0
+        if leave_one_out:
+            g, c = g[:6, :6], c[:6]
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) * 0.1)
+        cfg = LassoConfig(rho=0.01, debug=True)
+        with pytest.raises(NumericalError, match="in column 1"):
+            lasso_gram(g, c, cfg, leave_one_out=leave_one_out)
+        with pytest.raises(NumericalError, match="objective increased"):
+            lasso_gram(g, c[:, 1], cfg)
+
 
 class TestGlassoOptimality:
     def _correlation(self):
@@ -263,12 +322,29 @@ class TestGlassoOptimality:
         off = ~np.eye(30, dtype=bool)
         assert np.max(np.abs(v - r)[off]) <= rho / 2 * (1 + 1e-4)
 
+    def test_duality_certificate(self):
+        # duality certificate of -log det Q + tr(RQ) + rho tr(Q)
+        # + (rho/2) sum_{i != j} |Q_ij|: Q symmetric positive definite,
+        # V = Q^{-1} with V_ii = R_ii + rho, and a gap small next to n
+        r = self._correlation()
+        rho, n = 0.05, 30
+        q = glasso(r, GlassoConfig(rho=rho))
+        scale = np.max(np.abs(q))
+        assert np.max(np.abs(q - q.T)) <= 1e-10 * scale
+        assert np.linalg.eigvalsh(q)[0] > 0
+        v = np.linalg.inv(q)
+        assert np.max(np.abs(np.diag(v) - np.diag(r) - rho)) <= 1e-6 * max(np.max(np.abs(r)), 1.0)
+        off = ~np.eye(n, dtype=bool)
+        gap = rho / 2 * np.sum(np.abs(q[off])) - np.sum((v - r)[off] * q[off])
+        assert abs(gap) <= 1e-3 * n
+
     def test_report_converged(self):
         report: dict = {}
         glasso(self._correlation(), GlassoConfig(rho=0.05), report=report)
         assert report["converged"] is True
         assert report["unconverged_inner"] == 0
         assert 1 <= report["sweeps"] < 100
+        assert report["inner_iterations"] >= 30 * report["sweeps"]
 
     def test_report_sweep_cap(self):
         report: dict = {}
