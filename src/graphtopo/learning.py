@@ -225,7 +225,7 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
         y = np.linalg.solve(np.eye(n) + alpha * l, arr)
         if objective_trace is not None:
             obj = (0.5 * np.sum((y - arr) ** 2)
-                   + alpha * np.trace(y.T @ l @ y)
+                   + alpha * np.sum((l @ y) * y)
                    + beta * np.sum(l ** 2))
             objective_trace.append(float(obj))
     return Laplacian(l, kind="combinatorial", check=False), ObservationMatrix(y)

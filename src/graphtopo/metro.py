@@ -73,15 +73,42 @@ def betweenness(g: Graph) -> np.ndarray:
     return scores / 2.0
 
 
-def _hop_pairs(hops: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """All-pairs hop distances, their finite pair sum and the finite pair count."""
-    from scipy.sparse.csgraph import shortest_path
+def _popcount(bits: np.ndarray, axis=None):
+    # set bits per row (axis=1) or in all; np.bitwise_count needs numpy 2
+    return np.count_nonzero(np.unpackbits(bits.view(np.uint8), axis=-1), axis=axis)
 
-    dist = shortest_path(hops, unweighted=True, directed=False)
-    finite = np.isfinite(dist)
-    np.fill_diagonal(finite, False)
-    # hop counts are integers, so the float sum is exact in any order
-    return dist, float(dist[finite].sum()) / 2.0, int(np.count_nonzero(finite)) // 2
+
+def _hop_sum(cols: np.ndarray, starts: np.ndarray, frontier: np.ndarray,
+             unseen: np.ndarray) -> tuple[int, int]:
+    """Breadth-first search from every source at once, one bit per source.
+
+    Row u of ``frontier`` holds the sources whose search reached u at the
+    current level and row u of ``unseen`` those that have not reached it
+    yet; ``unseen`` is updated in place. Vertex u's neighbours are
+    ``cols[starts[u]:starts[u + 1]]``, and no segment may be empty.
+    Returns the hop sum and the count over the ordered (source, vertex)
+    pairs reached, the source itself excluded.
+    """
+    pairs = int(_popcount(unseen))
+    # each pair is first reached at exactly one level, so the hop sum is
+    # sum_b 2^b |pairs first reached at a level with bit b set|, and
+    # acc[b] collects those pairs: no popcount per level
+    acc = []
+    level = 0
+    while True:
+        level += 1
+        frontier = np.bitwise_or.reduceat(np.take(frontier, cols, axis=0), starts, axis=0)
+        frontier &= unseen
+        if not frontier.any():
+            break
+        unseen ^= frontier
+        if level.bit_length() > len(acc):
+            acc.append(np.zeros_like(frontier))
+        for b in range(level.bit_length()):
+            if level >> b & 1:
+                acc[b] |= frontier
+    total = sum(int(_popcount(a)) << b for b, a in enumerate(acc))
+    return total, pairs - int(_popcount(unseen))
 
 
 def closeness_vitality(g: Graph) -> np.ndarray:
@@ -90,22 +117,32 @@ def closeness_vitality(g: Graph) -> np.ndarray:
     A removal that disconnects previously reachable vertices scores +inf.
     Pairs already unreachable in the base graph are ignored throughout.
     """
-    n = g.n
-    hops = g.w > 0
-    dist, base_sum, base_pairs = _hop_pairs(hops)
-    # base pairs that involve each vertex: its finite distances, itself excluded
-    reach = np.count_nonzero(np.isfinite(dist), axis=1) - 1
-    out = np.zeros(n)
-    keep = np.ones(n, dtype=bool)
+    out = np.zeros(g.n)
+    # an isolated vertex lies on no path, so its removal changes nothing
+    live = np.flatnonzero(np.any(g.w > 0, axis=1))
+    n = live.size
+    if not n:
+        return out
+    rows, cols = np.nonzero(g.w[np.ix_(live, live)] > 0)
+    starts = np.searchsorted(rows, np.arange(n))
+    # row s holds the bit of source s alone; the bits past n stay unused
+    eye = np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool), axis=1).view(np.uint64)
+    unseen = ~eye
+    # totals over ordered pairs, so every unordered pair counts twice
+    base_sum, base_pairs = _hop_sum(cols, starts, eye, unseen)
+    # base pairs that involve each vertex, itself excluded
+    reach = _popcount(~unseen, axis=1) - 1
     for v in range(n):
-        keep[v] = False
-        _, reduced_sum, reduced_pairs = _hop_pairs(hops[np.ix_(keep, keep)])
-        keep[v] = True
+        # delete v: its search never starts and no search enters it
+        frontier, unseen = eye.copy(), ~eye
+        frontier[v] = 0
+        unseen[v] = 0
+        reduced_sum, reduced_pairs = _hop_sum(cols, starts, frontier, unseen)
         # pairs not involving v that were finite in the base graph
-        if reduced_pairs < base_pairs - reach[v]:
-            out[v] = np.inf
+        if reduced_pairs < base_pairs - 2 * reach[v]:
+            out[live[v]] = np.inf
         else:
-            out[v] = base_sum - reduced_sum
+            out[live[v]] = (base_sum - reduced_sum) / 2
     return out
 
 

@@ -181,20 +181,20 @@ def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
     # 2s + u never lands in another row, even where the sum rounds
     table = (cum + 2.0 * np.arange(n)[:, None]).ravel()
     rng = np.random.default_rng(seed)
+    # the walkers not yet absorbed: their index and current vertex
+    active = np.arange(walks)
     state = np.full(walks, start, dtype=np.int64)
     steps = np.zeros(walks, dtype=np.int64)
-    active = np.arange(walks)
-    for _ in range(max_steps):
+    for t in range(1, max_steps + 1):
         u = rng.random(active.size)
-        s = state[active]
-        # next vertex: the number of entries of cum[s] below u
-        nxt = np.searchsorted(table, u + 2.0 * s) - n * s
-        state[active] = nxt
-        steps[active] += 1
-        still = nxt != target
-        active = active[still]
-        if active.size == 0:
-            break
+        # next vertex: the number of entries of cum[state] below u
+        state = np.searchsorted(table, u + 2.0 * state) - n * state
+        hit = state == target
+        if hit.any():
+            steps[active[hit]] = t
+            active, state = active[~hit], state[~hit]
+            if not active.size:
+                break
     if active.size:
         raise NumericalError("walkers not absorbed within the step cap")
     mean = float(steps.mean())

@@ -110,18 +110,19 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
     if leave_one_out:
         if k != m or not block:
             raise ValueError("leave_one_out needs one column of c per row of g")
-        # one sub-Gram at a time, so memory stays O(m^2)
-        grams = (np.delete(np.delete(g, j, axis=0), j, axis=1) for j in range(m))
+        nz = g != 0
+        # nonzero entries of g without row and column j
+        rest = np.count_nonzero(nz) - nz.sum(axis=0) - nz.sum(axis=1) + nz.diagonal()
+        if not rest.all():
+            j = int(np.argmin(rest))
+            raise ValueError(f"g without row and column {j} must have at least one nonzero entry")
+        lam = _leave_one_out_lmax(g)
         x[np.diag_indices(m)] = 0.0
     else:
-        grams = (g,)
-    lam = []
-    for j, sub in enumerate(grams):
-        if not np.any(sub):
-            where = f" without row and column {j}" if leave_one_out else ""
-            raise ValueError(f"g{where} must have at least one nonzero entry")
-        lam.append(np.linalg.eigvalsh(sub)[-1])
-    alpha = 1.0 / (2.0 * np.array(lam))
+        if not np.any(g):
+            raise ValueError("g must have at least one nonzero entry")
+        lam = np.linalg.eigvalsh(g)[-1:]
+    alpha = 1.0 / (2.0 * lam)
     # one right-hand side runs on a vector with a scalar step: glasso's column
     # lassos are small, so numpy's per-call cost, not the arithmetic, sets the
     # pace, and as an (m, 1) block they made glasso about 1.6 times slower
@@ -183,6 +184,29 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
         return LassoResult(xl, it, bool(done))
     x[:, live] = xl
     return LassoResult(x, iterations, converged)
+
+
+def _leave_one_out_lmax(g: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of g without row and column i, for every i.
+
+    With g = U diag(lam) U' (lam ascending) it lies in [lam[-2], lam[-1]]
+    by interlacing, and there it is the root of the increasing function
+    sum_k U[i, k]^2 / (lam[k] - mu), found for all i by one bisection. Where
+    U[i, -1] is 0 the largest eigenvalue of g is left in place.
+    """
+    lam, u = np.linalg.eigh(g)
+    u2 = u * u
+    lo = np.full(lam.size, lam[-2])
+    hi = np.full(lam.size, lam[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            below = np.sum(u2 / (lam - mid[:, None]), axis=1) < 0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return np.where(u2[:, -1] == 0, lam[-1], hi)
 
 
 def lasso_ista(a, y, cfg: LassoConfig) -> LassoResult:

@@ -428,7 +428,8 @@ SCIPY_FREE = [
     ("learn-regress", lambda d: ["learn", "regress", "--obs", d / "obs.csv",
                                  "--rho", "0.1", "--clamp-negative"]),
     *((name, argv) for name, argv in DRY_RUNS if name in {
-        "learn-glasso", "learn-smooth", "learn-polyfit", "solve-circuit", "solve-absorb",
+        "learn-glasso", "learn-smooth", "learn-polyfit", "metro-centrality",
+        "metro-population", "solve-circuit", "solve-absorb",
         "solve-hitting", "solve-commute", "solve-pagerank", "solve-propagate",
         "solve-denoise", "lattice-gdft", "portfolio-allocate", "verify"}),
 ]

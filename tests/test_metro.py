@@ -97,7 +97,62 @@ class TestBetweenness:
         np.testing.assert_allclose(b, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
+def csgraph_vitality(g):
+    """Reference: one csgraph all-pairs search for the graph and one for
+    each removal, summed over the pairs with a finite distance."""
+    hops = g.w > 0
+
+    def pairs(h):
+        dist = shortest_path(h, unweighted=True, directed=False)
+        finite = np.isfinite(dist)
+        np.fill_diagonal(finite, False)
+        return dist, dist[finite].sum() / 2, np.count_nonzero(finite) // 2
+
+    dist, base_sum, base_pairs = pairs(hops)
+    reach = np.count_nonzero(np.isfinite(dist), axis=1) - 1
+    out = np.zeros(g.n)
+    for v in range(g.n):
+        keep = np.arange(g.n) != v
+        _, reduced_sum, reduced_pairs = pairs(hops[np.ix_(keep, keep)])
+        out[v] = np.inf if reduced_pairs < base_pairs - reach[v] else base_sum - reduced_sum
+    return out
+
+
+def random_graph(rng, n, p_edge, isolated=()):
+    upper = np.triu(rng.random((n, n)) < p_edge, 1)
+    w = (upper | upper.T) * rng.uniform(0.5, 2.0, size=(n, n))
+    w = np.maximum(w, w.T)
+    w[list(isolated)] = 0.0
+    w[:, list(isolated)] = 0.0
+    return Graph.from_weights(w)
+
+
+def vitality_cases():
+    """Seeded graphs with isolated vertices (also last), edgeless graphs,
+    vertex counts on either side of the 64-bit word size, and a long path."""
+    rng = np.random.default_rng(70)
+    cases = []
+    for k in range(30):
+        n = int(rng.integers(2, 25))
+        isolated = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
+        cases.append((f"random{k}", random_graph(rng, n, rng.uniform(0.05, 0.6), isolated)))
+    cases.append(("trailing_isolated", random_graph(rng, 12, 0.3, isolated=(9, 10, 11))))
+    cases.append(("one_edge_then_isolated",
+                  Graph.from_weights(np.pad(np.ones((2, 2)) - np.eye(2), (0, 8)))))
+    for n in (1, 5):
+        cases.append((f"edgeless{n}", Graph.from_weights(np.zeros((n, n)))))
+    for n in (1, 63, 64, 65, 128, 129):
+        cases.append((f"n{n}", random_graph(rng, n, 3.0 / n, isolated=(0, n - 1))))
+    cases.append(("path200", path_graph(200)))
+    return [pytest.param(g, id=name) for name, g in cases]
+
+
 class TestClosenessVitality:
+    @pytest.mark.parametrize("g", vitality_cases())
+    def test_equals_csgraph_reference(self, g):
+        got = closeness_vitality(g)
+        assert np.array_equal(got, csgraph_vitality(g))
+
     def test_path_of_three(self):
         v = closeness_vitality(path_graph(3))
         assert v[0] == pytest.approx(3.0)

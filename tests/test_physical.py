@@ -221,6 +221,10 @@ class TestMonteCarloHitting:
         c = monte_carlo_hitting(bench8, 7, 0, walks=500, seed=43)
         assert a == b
         assert a != c
+        # the draws and their order are part of the result: a seed gives the
+        # same walks in every version
+        assert a[0] == 10.41
+        assert a[1] == pytest.approx(0.3346577230293159, rel=1e-12)
 
     def test_step_cap_raises(self, bench8):
         with pytest.raises(NumericalError):

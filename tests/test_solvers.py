@@ -6,6 +6,7 @@ from graphtopo.core import Graph, NumericalError, RankDeficiencyWarning, laplaci
 from graphtopo.solvers import (
     GlassoConfig,
     LassoConfig,
+    _leave_one_out_lmax,
     glasso,
     lasso_gram,
     lasso_ista,
@@ -275,6 +276,35 @@ class TestLassoGram:
                                        rtol=0, atol=1e-12 * np.max(np.abs(col.coefficients)))
             assert res.iterations[k] == col.iterations
 
+    @pytest.mark.parametrize("case", ["random", "block_diagonal", "identity", "rank_one"])
+    def test_leave_one_out_lmax_matches_eigvalsh(self, case):
+        rng = np.random.default_rng(5)
+        if case == "random":
+            a = rng.normal(size=(40, 30))
+            g = a.T @ a
+        elif case == "block_diagonal":
+            g = np.zeros((9, 9))
+            for lo, hi, scale in [(0, 4, 3.0), (4, 7, 1.0), (7, 9, 3.0)]:
+                a = scale * rng.normal(size=(6, hi - lo))
+                g[lo:hi, lo:hi] = a.T @ a
+        elif case == "identity":
+            g = np.eye(7)
+        else:
+            a = rng.normal(size=8)
+            g = np.outer(a, a)
+        m = g.shape[0]
+        expect = [np.linalg.eigvalsh(np.delete(np.delete(g, i, 0), i, 1))[-1] for i in range(m)]
+        np.testing.assert_allclose(_leave_one_out_lmax(g), expect,
+                                   rtol=0, atol=1e-13 * np.linalg.eigvalsh(g)[-1])
+
+    def test_leave_one_out_rejects_a_zero_sub_gram(self):
+        g = np.zeros((3, 3))
+        g[0, 1] = g[1, 0] = 1.0
+        with pytest.raises(ValueError, match="without row and column 0 must have"):
+            lasso_gram(g, g, LassoConfig(), leave_one_out=True)
+        with pytest.raises(ValueError, match="without row and column 0 must have"):
+            lasso_gram(np.ones((1, 1)), np.ones((1, 1)), LassoConfig(), leave_one_out=True)
+
     def test_warm_start_at_the_solution_stops_at_once(self):
         g, c = self._block()
         cfg = LassoConfig(rho=2.0)
@@ -296,8 +326,11 @@ class TestLassoGram:
         c[:, 0] = 0.0
         if leave_one_out:
             g, c = g[:6, :6], c[:6]
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) * 0.1)
+        # the leave-one-out steps come from eigh: scaling its eigenvalues
+        # scales every sub-Gram's largest eigenvalue alike
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] * 0.1, eigh(m)[1]))
         cfg = LassoConfig(rho=0.01, debug=True)
         with pytest.raises(NumericalError, match="in column 1"):
             lasso_gram(g, c, cfg, leave_one_out=leave_one_out)
