@@ -309,12 +309,10 @@ def _learn_glasso(args, inputs) -> Result:
     details: dict = {}
     q = glasso(r, cfg, report=details)
     off = q[~np.eye(q.shape[0], dtype=bool)]
+    converged = details.pop("converged")
     return Result({"precision": (args.out, q)},
-                  {"nonzero_offdiag": int(np.count_nonzero(off)),
-                   "sweeps": details["sweeps"],
-                   "unconverged_inner": details["unconverged_inner"],
-                   "inner_iterations": details["inner_iterations"]},
-                  {"diagonal": np.diag(q)}, details["converged"])
+                  {"nonzero_offdiag": int(np.count_nonzero(off)), **details},
+                  {"diagonal": np.diag(q)}, converged)
 
 
 def _learned(args, w: np.ndarray, l: np.ndarray, metrics: dict,
@@ -623,11 +621,8 @@ COMMANDS = (
     Command("learn", "glasso", "sparse precision matrix", (
         _arg("--corr", required=True),
         _arg("--rho", type=float, required=True),
-        _arg("--max-sweeps", type=int, default=100),
-        _arg("--eps", type=float, default=1e-4),
         _arg("--out", default="precision.csv"),
-    ), lambda args: (io.read_matrix_csv(args.corr),
-                     GlassoConfig(rho=args.rho, max_sweeps=args.max_sweeps, eps=args.eps)),
+    ), lambda args: (io.read_matrix_csv(args.corr), GlassoConfig(rho=args.rho)),
         _learn_glasso),
     Command("learn", "regress", "neighborhood regression topology",
             _LEARNED + _LASSO + (_arg("--clamp-negative", action="store_true"),),

@@ -44,16 +44,10 @@ class LassoConfig:
 @dataclass(frozen=True)
 class GlassoConfig:
     rho: float = 0.0
-    max_sweeps: int = 100
-    eps: float = 0.0001
 
     def __post_init__(self):
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
 
 
 @dataclass(frozen=True)
@@ -84,11 +78,12 @@ def _shrink(y: np.ndarray, t) -> np.ndarray:
 def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> LassoResult:
     """Minimize x'Gx - 2c'x + rho ||x||_1 by iterative soft-thresholding.
 
-    With G = A'A and c = A'y this is the lasso ||y - Ax||^2 + rho ||x||_1 less
-    its constant y'y. A 2-D c is a block of right-hand sides solved in one
-    loop, one problem per column: each column has its own step, stops on its
-    own and is frozen from then on. With ``leave_one_out`` the block is square
-    and column k is solved on G without row and column k, so x[k, k] stays 0.
+    With G = A'A and c = A'y this is the lasso ||y - Ax||^2 + rho ||x||_1 less its
+    constant y'y. A 2-D c is a block of right-hand sides solved in one loop, one
+    problem per column: each column has its own step, stops on its own and is frozen
+    from then on; a 1-D c runs as a block of one column. With ``leave_one_out`` the
+    block is square and column k is solved on G without row and column k, so x[k, k]
+    stays 0.
 
     A column's step is 1/(2 lambda_max) of its Gram. The iterate starts at x0
     (c by default) and each column stops on relative change below cfg.tol or
@@ -98,17 +93,16 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
     c = np.asarray(c, dtype=float)
     if c.ndim > 2:
         raise ValueError("c must be a vector or a matrix")
-    block = c.ndim == 2
     if x0 is not None and np.shape(x0) != c.shape:
         raise ValueError("x0 must have the shape of c")
-    if not block:
-        c = c.reshape(-1)
-    m, k = c.shape if block else (c.size, 1)
+    vector = c.ndim < 2
+    c = c.reshape(-1, 1) if vector else c
+    m, k = c.shape
     if g.shape != (m, m):
         raise ValueError("g must be square with one row per entry of c")
     x = np.array(c if x0 is None else x0, dtype=float).reshape(c.shape)
     if leave_one_out:
-        if k != m or not block:
+        if vector or k != m:
             raise ValueError("leave_one_out needs one column of c per row of g")
         nz = g != 0
         # nonzero entries of g without row and column j
@@ -122,16 +116,8 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
         if not np.any(g):
             raise ValueError("g must have at least one nonzero entry")
         lam = np.linalg.eigvalsh(g)[-1:]
-    alpha = 1.0 / (2.0 * lam)
-    # one right-hand side runs on a vector with a scalar step: glasso's column
-    # lassos are small, so numpy's per-call cost, not the arithmetic, sets the
-    # pace, and as an (m, 1) block they made glasso about 1.6 times slower
-    if block:
-        alpha = np.broadcast_to(alpha, (k,))
-        def sq(v): return np.einsum("ij,ij->j", v, v)
-    else:
-        alpha = float(alpha[0])
-        def sq(v): return v @ v
+    alpha = np.broadcast_to(1.0 / (2.0 * lam), (k,))
+    def sq(v): return np.einsum("ij,ij->j", v, v)
 
     iterations = np.full(k, cfg.max_iter)
     converged = np.zeros(k, dtype=bool)
@@ -152,25 +138,20 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
             x_new[live, np.arange(live.size)] = 0.0
         if cfg.debug:
             # without y'y the objective can be negative, hence the |.| scale
-            xv = x_new.reshape(m, -1)
-            obj = (np.einsum("ij,ij->j", xv, g @ xv - 2.0 * cl.reshape(m, -1))
-                   + cfg.rho * np.sum(np.abs(xv), axis=0))
+            obj = (np.einsum("ij,ij->j", x_new, g @ x_new - 2.0 * cl)
+                   + cfg.rho * np.sum(np.abs(x_new), axis=0))
             up = np.flatnonzero(obj > obj_prev + 1e-12 * np.maximum(1.0, np.abs(obj_prev)))
             if up.size:
                 j = up[0]
-                where = f" in column {live[j]}" if block else ""
+                where = "" if vector else f" in column {live[j]}"
                 raise NumericalError(
                     f"objective increased at iteration {it}{where}: "
                     f"{obj_prev[j]!r} -> {obj[j]!r}")
             obj_prev = obj
-        d = x_new - xl
-        done = sq(d) <= lim
+        done = sq(x_new - xl) <= lim
         xl = x_new
         lim = tol2 * (sq(xl) + 1e-24)
-        if not block:
-            if done:
-                break
-        elif np.count_nonzero(done):
+        if np.count_nonzero(done):
             x[:, live[done]] = xl[:, done]
             iterations[live[done]] = it
             converged[live[done]] = True
@@ -180,9 +161,9 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
                 obj_prev[keep], lim[keep])
             if not live.size:
                 break
-    if not block:
-        return LassoResult(xl, it, bool(done))
     x[:, live] = xl
+    if vector:
+        return LassoResult(x[:, 0], int(iterations[0]), bool(converged[0]))
     return LassoResult(x, iterations, converged)
 
 
@@ -221,59 +202,81 @@ def lasso_ista(a, y, cfg: LassoConfig) -> LassoResult:
     return lasso_gram(a.T @ a, a.T @ y, cfg)
 
 
-def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
-    """Sparse precision estimate by coordinate sweeps over an augmented
-    covariance V = R + rho I.
+GLASSO_MAX_ITER = 5000  # glasso's step cap; reaching it is reported as converged=False
 
-    Each sweep updates one row/column at a time from an L1-penalized
-    regression on the remaining block, :func:`lasso_gram` on (V11, r12),
-    started from that column's coefficients of the previous sweep; sweeping
-    stops when the mean absolute change falls below eps scaled by the mean
-    off-diagonal magnitude of R. Returns the inverse of the final V.
-    A given ``report`` dict receives ``sweeps``, ``unconverged_inner``,
-    ``inner_iterations`` (the column lassos' total) and ``converged`` (sweep
-    test met and every column lasso converged).
+
+def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
+    """Sparse precision estimate: minimise -log det Q + tr((R + rho I) Q)
+    + (rho/2) sum_{i != j} |Q_ij| by G-ISTA (Rolfs et al., NIPS 2012).
+
+    Each step Q <- soft(Q - t (R + rho I - Q^-1), t rho/2) thresholds the off-diagonal
+    only, so absent edges come out exactly 0; t is a Barzilai-Borwein step, halved until
+    Q has a Cholesky factor (which gives Q^-1) and the sufficient-decrease test holds.
+    It stops on the KKT conditions at V = Q^-1 or after GLASSO_MAX_ITER steps; rho = 0
+    returns inv(R). A given ``report`` dict receives ``iterations``, ``converged`` (KKT
+    met) and ``kkt_residual``, the larger KKT violation at exit (max|RQ - I| at rho = 0).
     """
     r = as_symmetric(r, "r")
     n = r.shape[0]
     scale = max(np.max(np.abs(r)), 1.0)
-    eigs = np.linalg.eigvalsh(r)
-    if eigs[0] < -1e-8 * scale:
+    if np.linalg.eigvalsh(r)[0] < -1e-8 * scale:
         raise ValueError("r must be positive semidefinite")
+    if cfg.rho == 0.0:
+        cond = np.linalg.cond(r)
+        if not np.isfinite(cond) or cond > 1e14:
+            raise NumericalError(f"r is numerically singular (condition number {cond:.3e})")
+        q = np.linalg.inv(r)
+        if report is not None:
+            report.update(iterations=0, converged=True,
+                          kkt_residual=float(np.max(np.abs(r @ q - np.eye(n)))))
+        return q
 
-    c_p = np.mean(np.abs(r - np.diag(np.diag(r)))) * cfg.eps
-    v = r + cfg.rho * np.eye(n)
-    inner = LassoConfig(rho=cfg.rho, max_iter=1000, tol=1e-8)
-    # row j: column j's lasso coefficients, the warm start of its next solve
-    beta = np.zeros((n, n - 1))
-    # a single vertex has no off-diagonal column to update
-    sweeps, swept, unconverged, iterations = 0, n == 1, 0, 0
-    while not swept and sweeps < cfg.max_sweeps:
-        sweeps += 1
-        v_start = v.copy()
-        for j in range(n - 1, -1, -1):
-            idx = np.delete(np.arange(n), j)
-            v11 = v[np.ix_(idx, idx)]
-            r12 = r[idx, j]
-            if not np.any(v11) or not np.any(r12):
-                beta[j] = 0.0
-            else:
-                res = lasso_gram(v11, r12, inner, x0=beta[j] if sweeps > 1 else None)
-                beta[j] = res.coefficients
-                unconverged += not res.converged
-                iterations += res.iterations
-            v12 = v11 @ beta[j]
-            v[idx, j] = v12
-            v[j, idx] = v12
-        swept = np.mean(np.abs(v - v_start)) < c_p
+    half = cfg.rho / 2.0
+    s = r + cfg.rho * np.eye(n)
+    q, w = np.diag(1.0 / np.diag(s)), np.diag(np.diag(s))
+    f = n + np.sum(np.log(np.diag(s)))  # -log det Q + tr(SQ)
+    t = 1.0 / np.max(np.diag(s)) ** 2
+    for iterations in range(GLASSO_MAX_ITER + 1):
+        # KKT at V = Q^-1, over max(1, max|R|) on the diagonal (V_ii - R_ii = rho) and rho/2
+        # off it (V_ij - R_ij in [-rho/2, rho/2], = (rho/2) sign Q_ij on the support)
+        d = w - r
+        diag = np.max(np.abs(np.diag(d) - cfg.rho)) / scale
+        np.fill_diagonal(d, 0.0)
+        sign = np.sign(q - np.diag(np.diag(q)))
+        off = np.max(np.abs(d - np.where(sign != 0, half * sign, np.clip(d, -half, half)))) / half
+        converged = bool(diag <= 1e-12 and off <= 1e-6)
+        if converged or iterations == GLASSO_MAX_ITER:
+            break
+        grad = s - w
+        for _ in range(60):
+            y = q - t * grad
+            q_new = _shrink(y, t * half)
+            np.fill_diagonal(q_new, np.diag(y))
+            dq = q_new - q
+            try:
+                chol = np.linalg.cholesky(q_new)
+                f_new = np.sum(s * q_new) - 2.0 * np.sum(np.log(np.diag(chol)))
+            except np.linalg.LinAlgError:
+                f_new = np.inf
+            # the slack lets a step that only rounding moves pass
+            if f_new <= (f + np.sum(grad * dq) + np.sum(dq * dq) / (2.0 * t)
+                         + 1e-12 * max(1.0, abs(f))):
+                break
+            t /= 2.0
+        else:
+            raise NumericalError(f"glasso step {iterations + 1} failed its test after 60 halvings")
+        inv = np.linalg.inv(chol)
+        w_new = inv.T @ inv
+        # alternating Barzilai-Borwein steps, long then short; the gradient changes by w - w_new
+        dg = w - w_new
+        curv = np.sum(dq * dg)
+        if curv > 0:
+            t = curv / np.sum(dg * dg) if iterations % 2 else np.sum(dq * dq) / curv
+        q, w, f = q_new, w_new, f_new
     if report is not None:
-        report.update(sweeps=sweeps, unconverged_inner=unconverged,
-                      inner_iterations=iterations, converged=bool(swept) and not unconverged)
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise NumericalError(
-            f"augmented covariance is numerically singular (condition number {cond:.3e})")
-    return np.linalg.inv(v)
+        report.update(iterations=iterations, converged=converged,
+                      kkt_residual=float(max(diag, off)))
+    return q
 
 
 def precision_matrix(r, rank_tol: float = 1e-10) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphtopo import io
+from graphtopo import io, solvers
 from graphtopo.cli import build_parser, dispatch
 from graphtopo.core import Graph, laplacian
 from graphtopo.physical import BoundaryCondition, circuit_solve, hitting_times
@@ -138,19 +138,27 @@ class TestGlassoReport:
                    "--out", "q.csv") == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is True
-        assert report["metrics"]["sweeps"] >= 1
-        assert report["metrics"]["unconverged_inner"] == 0
         details: dict = {}
         glasso(io.read_matrix_csv(inputs / "corr.csv"), GlassoConfig(rho=0.1), report=details)
-        assert report["metrics"]["inner_iterations"] == details["inner_iterations"] > 0
+        assert report["metrics"]["iterations"] == details["iterations"] >= 1
+        assert report["metrics"]["kkt_residual"] == details["kkt_residual"] <= 1e-6
 
-    def test_sweep_cap_reported(self, tmp_path, monkeypatch, inputs):
+    def test_iteration_cap_reported(self, tmp_path, monkeypatch, inputs):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(solvers, "GLASSO_MAX_ITER", 1)
         assert run("learn", "glasso", "--corr", inputs / "corr.csv", "--rho", "0.1",
-                   "--max-sweeps", "1", "--out", "q.csv") == 0
+                   "--out", "q.csv") == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is False
-        assert report["metrics"]["sweeps"] == 1
+        assert report["metrics"]["iterations"] == 1
+
+    def test_exact_zeros(self, tmp_path, monkeypatch, inputs):
+        monkeypatch.chdir(tmp_path)
+        assert run("learn", "glasso", "--corr", inputs / "corr.csv", "--rho", "0.1",
+                   "--out", "q.csv") == 0
+        n = io.read_matrix_csv(inputs / "corr.csv").shape[0]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["metrics"]["nonzero_offdiag"] < n * (n - 1)
 
 
 def readme_cli_lines() -> list[str]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from graphtopo import solvers
 from graphtopo.core import Graph, NumericalError, RankDeficiencyWarning, laplacian
 from graphtopo.solvers import (
     GlassoConfig,
@@ -213,6 +214,12 @@ class TestGlasso:
         np.fill_diagonal(found, False)
         np.testing.assert_array_equal(found, chain_mask)
 
+    def test_exact_zeros_off_the_chain(self):
+        n = 6
+        q = glasso(np.linalg.inv(chain_precision(n)), GlassoConfig(rho=0.3))
+        far = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) > 1
+        assert np.all(q[far] == 0.0)
+
     def test_single_vertex(self):
         q = glasso(np.array([[2.0]]), GlassoConfig(rho=0.5))
         assert q[0, 0] == pytest.approx(0.4)
@@ -375,15 +382,23 @@ class TestGlassoOptimality:
         report: dict = {}
         glasso(self._correlation(), GlassoConfig(rho=0.05), report=report)
         assert report["converged"] is True
-        assert report["unconverged_inner"] == 0
-        assert 1 <= report["sweeps"] < 100
-        assert report["inner_iterations"] >= 30 * report["sweeps"]
+        assert 1 <= report["iterations"] < solvers.GLASSO_MAX_ITER
+        assert 0.0 <= report["kkt_residual"] <= 1e-6
 
-    def test_report_sweep_cap(self):
+    def test_report_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(solvers, "GLASSO_MAX_ITER", 1)
         report: dict = {}
-        glasso(self._correlation(), GlassoConfig(rho=0.05, max_sweeps=1), report=report)
-        assert report["sweeps"] == 1
+        glasso(self._correlation(), GlassoConfig(rho=0.05), report=report)
+        assert report["iterations"] == 1
         assert report["converged"] is False
+        assert report["kkt_residual"] > 1e-6
+
+    def test_report_at_zero_penalty(self):
+        report: dict = {}
+        glasso(chain4_correlation(), GlassoConfig(rho=0.0), report=report)
+        assert report["iterations"] == 0
+        assert report["converged"] is True
+        assert report["kkt_residual"] < 1e-10
 
 
 class TestPrecisionMatrix:
