@@ -5,187 +5,70 @@ sparse regression, graphical LASSO, smoothness, spectral fits), solve
 systems defined on graphs (circuits, random walks, diffusion, label
 spread), and run the two application pipelines: spectral portfolio cuts
 and flow-based population inference.
+
+Every name below is imported from its submodule on first use (PEP 562), so
+`import graphtopo` loads no submodule and a CLI command loads only the
+modules it runs.
 """
 
-from .core import (
-    DirectedGraph,
-    Graph,
-    Laplacian,
-    NumericalError,
-    RankDeficiencyWarning,
-    SourceVector,
-    SpectralDecomp,
-    eig_sym,
-    laplacian,
-    pseudo_inverse,
-    smoothness,
-)
-from .geometric import (
-    KernelSpec,
-    VertexCloud,
-    generalized_distance,
-    geometric_weights,
-    similarity_distances,
-    similarity_weights,
-    swiss_roll_graph,
-)
-from .io import (
-    read_graph_json,
-    read_directed_graph_json,
-    read_matrix_csv,
-    read_vector_csv,
-    write_graph_json,
-    write_matrix_csv,
-    write_vector_csv,
-)
-from .lattice import (
-    Lattice,
-    SamplingMap,
-    kron_sum_adjacency,
-    path_adjacency,
-    separability_check,
-    separable_gdft,
-    subsample,
-)
-from .learning import (
-    BetaMatrix,
-    ObservationMatrix,
-    PolyFitConfig,
-    correlation_matrix,
-    laplacian_to_weights,
-    learn_from_sources,
-    neighborhood_regression,
-    polynomial_fit_eigenvalues,
-    smooth_learn,
-    symmetrize_geometric,
-    weight_mse_db,
-)
-from .metro import FlowVector, betweenness, closeness_vitality, fick_population
-from .physical import (
-    BoundaryCondition,
-    PageRankResult,
-    absorbing_probabilities,
-    circuit_solve,
-    commute_time,
-    effective_resistance,
-    hitting_times,
-    label_propagation,
-    monte_carlo_hitting,
-    pagerank,
-    sparse_source_denoise,
-    walk_steady_state,
-)
-from .portfolio import (
-    Bisection,
-    CutNode,
-    CutTree,
-    ReturnSeries,
-    allocate,
-    cut_value,
-    market_graph,
-    min_variance_weights,
-    repeated_cuts,
-    sharpe,
-    spectral_bisect,
-)
-from .simulate import MODES, SimSpec, simulate
-from .solvers import (
-    GlassoConfig,
-    LassoConfig,
-    LassoResult,
-    glasso,
-    lasso_gram,
-    lasso_ista,
-    normalize_precision,
-    precision_matrix,
-    soft_threshold,
-)
-from .verify import run_suite
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaMatrix",
-    "Bisection",
-    "BoundaryCondition",
-    "CutNode",
-    "CutTree",
-    "DirectedGraph",
-    "FlowVector",
-    "GlassoConfig",
-    "Graph",
-    "KernelSpec",
-    "Laplacian",
-    "LassoConfig",
-    "LassoResult",
-    "Lattice",
-    "MODES",
-    "NumericalError",
-    "ObservationMatrix",
-    "PageRankResult",
-    "PolyFitConfig",
-    "RankDeficiencyWarning",
-    "ReturnSeries",
-    "SamplingMap",
-    "SimSpec",
-    "SourceVector",
-    "SpectralDecomp",
-    "VertexCloud",
-    "absorbing_probabilities",
-    "allocate",
-    "betweenness",
-    "circuit_solve",
-    "closeness_vitality",
-    "commute_time",
-    "correlation_matrix",
-    "cut_value",
-    "effective_resistance",
-    "eig_sym",
-    "fick_population",
-    "generalized_distance",
-    "geometric_weights",
-    "glasso",
-    "hitting_times",
-    "kron_sum_adjacency",
-    "label_propagation",
-    "laplacian",
-    "laplacian_to_weights",
-    "lasso_gram",
-    "lasso_ista",
-    "learn_from_sources",
-    "market_graph",
-    "min_variance_weights",
-    "monte_carlo_hitting",
-    "neighborhood_regression",
-    "normalize_precision",
-    "pagerank",
-    "path_adjacency",
-    "polynomial_fit_eigenvalues",
-    "precision_matrix",
-    "pseudo_inverse",
-    "read_directed_graph_json",
-    "read_graph_json",
-    "read_matrix_csv",
-    "read_vector_csv",
-    "repeated_cuts",
-    "run_suite",
-    "separability_check",
-    "separable_gdft",
-    "sharpe",
-    "similarity_distances",
-    "similarity_weights",
-    "simulate",
-    "smooth_learn",
-    "smoothness",
-    "soft_threshold",
-    "sparse_source_denoise",
-    "spectral_bisect",
-    "subsample",
-    "swiss_roll_graph",
-    "symmetrize_geometric",
-    "walk_steady_state",
-    "weight_mse_db",
-    "write_graph_json",
-    "write_matrix_csv",
-    "write_vector_csv",
-]
+_EXPORTS = {
+    "core": ("DirectedGraph", "Graph", "Laplacian", "NumericalError",
+             "RankDeficiencyWarning", "SourceVector", "SpectralDecomp", "eig_sym",
+             "laplacian", "pseudo_inverse", "smoothness"),
+    "geometric": ("KernelSpec", "VertexCloud", "generalized_distance", "geometric_weights",
+                  "similarity_distances", "similarity_weights", "swiss_roll_graph"),
+    "io": ("read_graph_json", "read_directed_graph_json", "read_matrix_csv",
+           "read_vector_csv", "write_graph_json", "write_matrix_csv", "write_vector_csv"),
+    "lattice": ("Lattice", "SamplingMap", "kron_sum_adjacency", "path_adjacency",
+                "separability_check", "separable_gdft", "subsample"),
+    "learning": ("BetaMatrix", "ObservationMatrix", "PolyFitConfig", "correlation_matrix",
+                 "laplacian_to_weights", "learn_from_sources", "neighborhood_regression",
+                 "polynomial_fit_eigenvalues", "smooth_learn", "symmetrize_geometric",
+                 "weight_mse_db"),
+    "metro": ("FlowVector", "betweenness", "closeness_vitality", "fick_population"),
+    "physical": ("BoundaryCondition", "PageRankResult", "absorbing_probabilities",
+                 "circuit_solve", "commute_time", "effective_resistance", "hitting_times",
+                 "label_propagation", "monte_carlo_hitting", "pagerank",
+                 "sparse_source_denoise", "walk_steady_state"),
+    "portfolio": ("Bisection", "CutNode", "CutTree", "ReturnSeries", "allocate", "cut_value",
+                  "market_graph", "min_variance_weights", "repeated_cuts", "sharpe",
+                  "spectral_bisect"),
+    "simulate": ("MODES", "SimSpec", "simulate"),
+    "solvers": ("GlassoConfig", "LassoConfig", "LassoResult", "glasso", "lasso_gram",
+                "lasso_ista", "normalize_precision", "precision_matrix", "soft_threshold"),
+    "verify": ("run_suite",),
+}
+# exported name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # Loading a submodule binds it on the package under its own name.
+        # The export `simulate` is the function in graphtopo.simulate, so
+        # that binding must not shadow it.
+        if not (name in _HOME and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

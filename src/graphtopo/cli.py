@@ -10,7 +10,9 @@ time. GRAPHTOPO_THREADS overrides --threads when set.
 Each command is one row of COMMANDS: its flags, a read step that loads and
 validates the inputs, and a compute step that returns a Result. `_run` is
 the one runner that takes every row through --dry-run, --strict, the
-output writes and the run report.
+output writes and the run report. Only core and io load with this module;
+each read and compute step imports the graphtopo modules it runs, so a
+command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -27,45 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import io
-from .core import NumericalError, laplacian
-from .geometric import KernelSpec, swiss_roll_graph
-from .lattice import Lattice, SamplingMap, kron_sum_adjacency, separable_gdft, subsample
-from .learning import (
-    correlation_matrix,
-    laplacian_to_weights,
-    learn_from_sources,
-    neighborhood_regression,
-    polynomial_fit_eigenvalues,
-    smooth_learn,
-    symmetrize_geometric,
-    weight_mse_db,
-    PolyFitConfig,
-)
-from .metro import betweenness, closeness_vitality, fick_population
-from .physical import (
-    BoundaryCondition,
-    absorbing_probabilities,
-    circuit_solve,
-    commute_time,
-    effective_resistance,
-    hitting_times,
-    label_propagation,
-    pagerank,
-    sparse_source_denoise,
-)
-from .portfolio import (
-    ReturnSeries,
-    allocate,
-    cut_value,
-    market_graph,
-    min_variance_weights,
-    repeated_cuts,
-    sharpe,
-    spectral_bisect,
-)
-from .simulate import MODES, SimSpec, simulate
-from .solvers import GlassoConfig, LassoConfig, glasso, lasso_ista
-from .verify import run_suite
+from .core import SIGNAL_MODES, NumericalError, laplacian
 
 GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 
@@ -107,8 +71,9 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _read_bc(path) -> BoundaryCondition:
+def _read_bc(path):
     """Boundary/label CSV: one `index,value` row per fixed vertex."""
+    from .physical import BoundaryCondition
     m = np.atleast_2d(io.read_matrix_csv(path))
     if m.shape[1] != 2:
         raise UsageError(f"{path}: expected two columns (index, value)")
@@ -232,17 +197,20 @@ def _read_obs(args):
     return io.read_matrix_csv(args.obs)
 
 
-def _read_returns(args) -> ReturnSeries:
+def _read_returns(args):
+    from .portfolio import ReturnSeries
     return ReturnSeries(io.read_matrix_csv(args.returns))
 
 
-def _read_lattice(args) -> Lattice:
+def _read_lattice(args):
+    from .lattice import Lattice
     return Lattice(_parse_ints(args.dims))
 
 
 # ---------------------------------------------------------------- gen
 
-def _read_swiss_roll(args) -> KernelSpec:
+def _read_swiss_roll(args):
+    from .geometric import KernelSpec
     kernel = KernelSpec(kind=args.kernel, tau=args.tau, kappa=args.kappa)
     if args.n < 2:
         raise UsageError("--n must be >= 2")
@@ -250,6 +218,7 @@ def _read_swiss_roll(args) -> KernelSpec:
 
 
 def _gen_swiss_roll(args, kernel) -> Result:
+    from .geometric import swiss_roll_graph
     g, cloud = swiss_roll_graph(args.n, args.seed, kernel)
     return Result({"graph": (args.out_graph, g), "coords": (args.out_coords, cloud.coords)},
                   {"vertices": g.n, "edges": int(np.count_nonzero(g.w) // 2)},
@@ -257,6 +226,7 @@ def _gen_swiss_roll(args, kernel) -> Result:
 
 
 def _read_signal(args):
+    from .simulate import SimSpec
     g = io.read_graph_json(args.graph)
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
@@ -265,6 +235,7 @@ def _read_signal(args):
 
 
 def _gen_signal(args, inputs) -> Result:
+    from .simulate import simulate
     g, spec, threads = inputs
     x = simulate(g, spec, threads=threads)
     return Result({"signal": (args.out, x.x)},
@@ -273,6 +244,7 @@ def _gen_signal(args, inputs) -> Result:
 
 
 def _gen_lattice(args, lat) -> Result:
+    from .lattice import kron_sum_adjacency
     g = kron_sum_adjacency(lat)
     return Result({"graph": (args.out, g)}, {"dims": list(lat.dims), "vertices": g.n},
                   {"degree": g.degrees()})
@@ -281,6 +253,7 @@ def _gen_lattice(args, lat) -> Result:
 # ---------------------------------------------------------------- learn
 
 def _read_lasso(args):
+    from .solvers import LassoConfig
     obs = io.read_matrix_csv(args.obs)
     if args.target:
         a = obs
@@ -294,6 +267,7 @@ def _read_lasso(args):
 
 
 def _learn_lasso(args, inputs) -> Result:
+    from .solvers import lasso_ista
     a, y, cfg = inputs
     res = lasso_ista(a, y, cfg)
     objective = float(np.sum((y - a @ res.coefficients) ** 2)
@@ -304,7 +278,13 @@ def _learn_lasso(args, inputs) -> Result:
                   {"coefficient": res.coefficients}, res.converged)
 
 
+def _read_glasso(args):
+    from .solvers import GlassoConfig
+    return io.read_matrix_csv(args.corr), GlassoConfig(rho=args.rho)
+
+
 def _learn_glasso(args, inputs) -> Result:
+    from .solvers import glasso
     r, cfg = inputs
     details: dict = {}
     q = glasso(r, cfg, report=details)
@@ -319,6 +299,7 @@ def _learned(args, w: np.ndarray, l: np.ndarray, metrics: dict,
              plot_series: dict | None = None, converged: bool | None = None) -> Result:
     """The Laplacian and weight outputs shared by the learn commands."""
     if args.truth:
+        from .learning import weight_mse_db
         metrics["mse_db"] = weight_mse_db(w, io.read_matrix_csv(args.truth))
     if plot_series is None:
         plot_series = {"weight": w[np.triu_indices(w.shape[0], k=1)]}
@@ -327,6 +308,7 @@ def _learned(args, w: np.ndarray, l: np.ndarray, metrics: dict,
 
 
 def _learn_regress(args, x) -> Result:
+    from .learning import neighborhood_regression, symmetrize_geometric
     details: dict = {}
     b = neighborhood_regression(x, args.rho, max_iter=args.max_iter, tol=args.tol,
                                 report=details)
@@ -338,6 +320,7 @@ def _learn_regress(args, x) -> Result:
 
 
 def _learn_smooth(args, x) -> Result:
+    from .learning import laplacian_to_weights, smooth_learn
     trace: list = []
     l, _ = smooth_learn(x, args.alpha, args.beta, outer_iters=args.outer_iters,
                         objective_trace=trace)
@@ -346,7 +329,13 @@ def _learn_smooth(args, x) -> Result:
                     {"objective": np.asarray(trace)})
 
 
+def _read_polyfit(args):
+    from .learning import PolyFitConfig
+    return io.read_matrix_csv(args.obs), PolyFitConfig(m=args.order, grid_points=args.grid_points)
+
+
 def _learn_polyfit(args, inputs) -> Result:
+    from .learning import correlation_matrix, laplacian_to_weights, polynomial_fit_eigenvalues
     x, cfg = inputs
     eigenvalues, l = polynomial_fit_eigenvalues(correlation_matrix(x), cfg)
     return _learned(args, laplacian_to_weights(l), l.l,
@@ -355,6 +344,7 @@ def _learn_polyfit(args, inputs) -> Result:
 
 
 def _learn_sources(args, inputs) -> Result:
+    from .learning import laplacian_to_weights, learn_from_sources
     x, j = inputs
     details: dict = {}
     l = learn_from_sources(x, j, rho=args.rho, report=details)
@@ -374,12 +364,14 @@ def _read_circuit(args):
 
 
 def _solve_circuit(args, inputs) -> Result:
+    from .physical import circuit_solve
     g, bc, sources = inputs
     x = circuit_solve(laplacian(g), bc, sources)
     return Result({"potentials": (args.out, x)}, plot_series={"potential": x})
 
 
 def _solve_absorb(args, inputs) -> Result:
+    from .physical import absorbing_probabilities
     x = absorbing_probabilities(*inputs)
     return Result({"probabilities": (args.out, x)}, plot_series={"probability": x})
 
@@ -392,6 +384,7 @@ def _read_hitting(args):
 
 
 def _solve_hitting(args, g) -> Result:
+    from .physical import hitting_times
     h = hitting_times(g, args.target)
     return Result({"hitting_times": (args.out, h)}, {"target": args.target},
                   {"hitting_time": h})
@@ -405,6 +398,7 @@ def _read_commute(args):
 
 
 def _solve_commute(args, g) -> Result:
+    from .physical import commute_time, effective_resistance
     r = effective_resistance(g, args.m, args.n)
     ct = commute_time(g, args.m, args.n)
     return Result({"resistance_commute": (args.out, np.array([r, ct]))},
@@ -423,6 +417,7 @@ def _read_pagerank(args):
 
 
 def _solve_pagerank(args, inputs) -> Result:
+    from .physical import pagerank
     g, damping = inputs
     res = pagerank(g, damping=damping, tol=args.tol, max_iter=args.max_iter)
     return Result({"scores": (args.out, res.scores)}, {"iterations": res.iterations},
@@ -430,11 +425,13 @@ def _solve_pagerank(args, inputs) -> Result:
 
 
 def _solve_propagate(args, inputs) -> Result:
+    from .physical import label_propagation
     x = label_propagation(*inputs)
     return Result({"labels": (args.out, x)}, plot_series={"label": x})
 
 
 def _solve_denoise(args, inputs) -> Result:
+    from .physical import sparse_source_denoise
     g, y = inputs
     x = sparse_source_denoise(laplacian(g), y, k=args.k, reference=args.reference)
     return Result({"denoised": (args.out, x)}, {"k": args.k, "reference": args.reference},
@@ -444,13 +441,20 @@ def _solve_denoise(args, inputs) -> Result:
 # ---------------------------------------------------------------- lattice
 
 def _lattice_gdft(args, lat) -> Result:
+    from .lattice import separable_gdft
     d = separable_gdft(lat)
     return Result({"eigenvectors": (args.out_u, d.eigenvectors),
                    "eigenvalues": (args.out_lam, d.eigenvalues)},
                   {"dims": list(lat.dims)}, {"eigenvalue": d.eigenvalues})
 
 
+def _read_subsample(args):
+    from .lattice import SamplingMap
+    return io.read_graph_json(args.graph), SamplingMap(_parse_ints(args.keep))
+
+
 def _lattice_subsample(args, inputs) -> Result:
+    from .lattice import subsample
     g, sampling = inputs
     return Result({"graph": (args.out, subsample(g, sampling))},
                   {"kept": list(sampling.kept)})
@@ -459,6 +463,7 @@ def _lattice_subsample(args, inputs) -> Result:
 # ---------------------------------------------------------------- portfolio
 
 def _portfolio_cut(args, r) -> Result:
+    from .portfolio import cut_value, market_graph, spectral_bisect
     kind = _CUT_KINDS[args.kind]
     g = market_graph(r)
     cut = spectral_bisect(g, kind=kind)
@@ -473,6 +478,7 @@ def _portfolio_cut(args, r) -> Result:
 
 
 def _portfolio_allocate(args, r) -> Result:
+    from .portfolio import allocate, market_graph, repeated_cuts
     scheme = args.scheme.upper()
     tree = repeated_cuts(market_graph(r), args.cuts, kind=_CUT_KINDS[args.kind])
     w = allocate(tree, scheme)
@@ -492,6 +498,8 @@ def _read_backtest(args):
 
 
 def _portfolio_backtest(args, inputs) -> Result:
+    from .portfolio import (ReturnSeries, allocate, market_graph, min_variance_weights,
+                            repeated_cuts, sharpe)
     r, t_fit = inputs
     fit = ReturnSeries(r.returns[:t_fit])
     held = ReturnSeries(r.returns[t_fit:])
@@ -520,6 +528,7 @@ def _portfolio_backtest(args, inputs) -> Result:
 # ---------------------------------------------------------------- metro
 
 def _metro_centrality(args, g) -> Result:
+    from .metro import betweenness, closeness_vitality
     b = betweenness(g)
     v = closeness_vitality(g)
     return Result({"centrality": (args.out, np.column_stack([b, v]))},
@@ -537,6 +546,7 @@ def _read_population(args):
 
 
 def _metro_population(args, inputs) -> Result:
+    from .metro import fick_population
     g, q = inputs
     phi = fick_population(laplacian(g), q, k=args.k)
     return Result({"population": (args.out, phi)}, {"k": args.k}, {"population": phi})
@@ -550,6 +560,7 @@ def _verify_plan() -> list[str]:
 
 
 def _verify(args, _) -> Result:
+    from .verify import run_suite
     ok = run_suite()
     return Result({}, converged=ok,
                   failure=None if ok else "verification suite reported failures")
@@ -599,7 +610,7 @@ COMMANDS = (
     ), _read_swiss_roll, _gen_swiss_roll),
     Command("gen", "signal", "simulate graph signals", (
         _GRAPH,
-        _arg("--mode", required=True, choices=MODES),
+        _arg("--mode", required=True, choices=SIGNAL_MODES),
         _arg("--seed", type=int, required=True),
         _arg("--p", type=int, required=True, help="snapshot count"),
         _arg("--params", default=None, help="JSON object of mode parameters"),
@@ -622,8 +633,7 @@ COMMANDS = (
         _arg("--corr", required=True),
         _arg("--rho", type=float, required=True),
         _arg("--out", default="precision.csv"),
-    ), lambda args: (io.read_matrix_csv(args.corr), GlassoConfig(rho=args.rho)),
-        _learn_glasso),
+    ), _read_glasso, _learn_glasso),
     Command("learn", "regress", "neighborhood regression topology",
             _LEARNED + _LASSO + (_arg("--clamp-negative", action="store_true"),),
             _read_obs, _learn_regress),
@@ -635,9 +645,7 @@ COMMANDS = (
     Command("learn", "polyfit", "eigenvalue polynomial fit topology", _LEARNED + (
         _arg("--order", type=int, required=True),
         _arg("--grid-points", type=int, default=None),
-    ), lambda args: (io.read_matrix_csv(args.obs),
-                     PolyFitConfig(m=args.order, grid_points=args.grid_points)),
-        _learn_polyfit),
+    ), _read_polyfit, _learn_polyfit),
     Command("learn", "sources", "topology from known sources", _LEARNED + (
         _arg("--sources", required=True, help="source matrix CSV"),
         _arg("--rho", type=float, default=None),
@@ -695,8 +703,7 @@ COMMANDS = (
         _GRAPH,
         _arg("--keep", required=True, help="comma-separated kept vertices"),
         _arg("--out", default="subsampled.json"),
-    ), lambda args: (io.read_graph_json(args.graph), SamplingMap(_parse_ints(args.keep))),
-        _lattice_subsample),
+    ), _read_subsample, _lattice_subsample),
 
     Command("portfolio", "cut", "one spectral bisection of the market", (
         _arg("--returns", required=True, help="periods x assets CSV"),

@@ -13,6 +13,7 @@ from typing import Literal
 import numpy as np
 
 __all__ = [
+    "SIGNAL_MODES",
     "SYM_TOL",
     "Graph",
     "DirectedGraph",
@@ -32,6 +33,11 @@ __all__ = [
 
 # Relative tolerance below which a matrix is accepted as symmetric.
 SYM_TOL = 1e-9
+
+# The generation modes of graphtopo.simulate. They are named here so that
+# the CLI can offer them as choices without loading simulate.
+SIGNAL_MODES = ("sources", "dipole", "pinned_pair", "diffusion",
+                "adjacency_shift", "bandlimited")
 
 LaplacianKind = Literal["combinatorial", "normalized", "generalized"]
 

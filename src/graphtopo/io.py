@@ -95,12 +95,24 @@ def graph_to_json(g: Graph | DirectedGraph) -> str:
     return json.dumps({"n": g.n, "edges": edges}, indent=None, separators=(",", ":"))
 
 
+_GRAPH_JSON = '{"n": int, "edges": [[i, j, w], ...]}'
+
+
 def _weights_from_json(text: str, directed: bool) -> np.ndarray:
     data = json.loads(text)
-    n = int(data["n"])
+    try:
+        n = int(data["n"])
+        edges = list(data.get("edges", []))
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"graph JSON must be an object {_GRAPH_JSON}") from None
     w = np.zeros((n, n))
-    for entry in data.get("edges", []):
-        i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"graph edge {entry!r} is not a list [i, j, w]")
+        try:
+            i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
+        except (TypeError, ValueError):
+            raise ValueError(f"graph edge {entry!r} is not [i, j, w] with numbers") from None
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         w[i, j] = weight

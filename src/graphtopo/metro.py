@@ -8,7 +8,6 @@ lengths.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,57 @@ class FlowVector:
         object.__setattr__(self, "q", q)
 
 
-def _neighbor_lists(w: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(w[v] > 0) for v in range(w.shape[0])]
+# The most floats one neighbour gather may hold. betweenness takes its
+# sources in blocks no wider than this allows, since a gather over all n
+# sources of a dense graph would hold about n^3 floats.
+_GATHER_FLOATS = 1 << 20
+
+
+class _Skeleton:
+    """The unweighted skeleton of W (an edge wherever W > 0) on its
+    non-isolated vertices ``live``, as a CSR neighbour index: vertex u's
+    neighbours are ``cols[starts[u]:starts[u + 1]]``. Dropping the isolated
+    vertices keeps every segment non-empty, which ``reduceat`` needs."""
+
+    def __init__(self, w: np.ndarray):
+        self.live = np.flatnonzero(np.any(w > 0, axis=1))
+        rows, self.cols = np.nonzero(w[np.ix_(self.live, self.live)] > 0)
+        self.starts = np.searchsorted(rows, np.arange(self.live.size))
+
+    def gather(self, ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+        """Row u combines, by ``ufunc``, the rows of ``a`` at u's neighbours."""
+        return ufunc.reduceat(np.take(a, self.cols, axis=0), self.starts, axis=0)
+
+
+def _dependencies(sk: _Skeleton, sources: np.ndarray) -> np.ndarray:
+    """Brandes' dependency sums for a block of sources, level by level.
+
+    Column j of the vertex x source arrays belongs to source ``sources[j]``.
+    Returns, per vertex v, the sum over the block of the dependency of the
+    source on v, the source itself excluded.
+    """
+    n, b = sk.live.size, sources.size
+    dist = np.full((n, b), -1)
+    sigma = np.zeros((n, b))
+    dist[sources, np.arange(b)] = 0
+    sigma[sources, np.arange(b)] = 1.0
+    frontier = dist == 0
+    level = 0
+    while frontier.any():
+        # shortest-path counts of the next level: sums over its predecessors
+        counts = sk.gather(np.add, np.where(frontier, sigma, 0.0))
+        level += 1
+        frontier = (dist < 0) & (counts > 0)
+        dist[frontier] = level
+        sigma[frontier] = counts[frontier]
+    # back up a level at a time: a vertex v at level k - 1 gets
+    # sigma_v * sum of (1 + delta_u) / sigma_u over its neighbours u at level k.
+    # The deepest level is level - 1, and level 1 only feeds the sources.
+    delta = np.zeros((n, b))
+    for k in range(level - 1, 1, -1):
+        t = np.divide(1.0 + delta, sigma, out=np.zeros((n, b)), where=dist == k)
+        delta += np.where(dist == k - 1, sigma * sk.gather(np.add, t), 0.0)
+    return delta.sum(axis=1)
 
 
 def betweenness(g: Graph) -> np.ndarray:
@@ -41,36 +89,18 @@ def betweenness(g: Graph) -> np.ndarray:
     B(n) sums, over all pairs (k, m) with k, m != n, the fraction of
     hop-count shortest k-m paths that pass through n.
     """
-    n = g.n
-    adj = _neighbor_lists(g.w)
+    out = np.zeros(g.n)
+    sk = _Skeleton(g.w)
+    n = sk.live.size
+    if not n:
+        return out
+    block = max(1, _GATHER_FLOATS // sk.cols.size)
     scores = np.zeros(n)
-    for s in range(n):
-        # single-source shortest-path counts (breadth first)
-        dist = np.full(n, -1)
-        sigma = np.zeros(n)
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(int(u))
-                if dist[u] == dist[v] + 1:
-                    sigma[u] += sigma[v]
-        # back-propagate pair dependencies
-        delta = np.zeros(n)
-        for v in reversed(order):
-            for u in adj[v]:
-                if dist[u] == dist[v] + 1:
-                    delta[v] += sigma[v] / sigma[u] * (1.0 + delta[u])
-            if v != s:
-                scores[v] += delta[v]
+    for first in range(0, n, block):
+        scores += _dependencies(sk, np.arange(first, min(first + block, n)))
     # every unordered pair was counted from both endpoints
-    return scores / 2.0
+    out[sk.live] = scores / 2.0
+    return out
 
 
 def _popcount(bits: np.ndarray, axis=None):
@@ -78,16 +108,14 @@ def _popcount(bits: np.ndarray, axis=None):
     return np.count_nonzero(np.unpackbits(bits.view(np.uint8), axis=-1), axis=axis)
 
 
-def _hop_sum(cols: np.ndarray, starts: np.ndarray, frontier: np.ndarray,
-             unseen: np.ndarray) -> tuple[int, int]:
+def _hop_sum(sk: _Skeleton, frontier: np.ndarray, unseen: np.ndarray) -> tuple[int, int]:
     """Breadth-first search from every source at once, one bit per source.
 
     Row u of ``frontier`` holds the sources whose search reached u at the
     current level and row u of ``unseen`` those that have not reached it
-    yet; ``unseen`` is updated in place. Vertex u's neighbours are
-    ``cols[starts[u]:starts[u + 1]]``, and no segment may be empty.
-    Returns the hop sum and the count over the ordered (source, vertex)
-    pairs reached, the source itself excluded.
+    yet; ``unseen`` is updated in place. Returns the hop sum and the count
+    over the ordered (source, vertex) pairs reached, the source itself
+    excluded.
     """
     pairs = int(_popcount(unseen))
     # each pair is first reached at exactly one level, so the hop sum is
@@ -97,7 +125,7 @@ def _hop_sum(cols: np.ndarray, starts: np.ndarray, frontier: np.ndarray,
     level = 0
     while True:
         level += 1
-        frontier = np.bitwise_or.reduceat(np.take(frontier, cols, axis=0), starts, axis=0)
+        frontier = sk.gather(np.bitwise_or, frontier)
         frontier &= unseen
         if not frontier.any():
             break
@@ -119,17 +147,15 @@ def closeness_vitality(g: Graph) -> np.ndarray:
     """
     out = np.zeros(g.n)
     # an isolated vertex lies on no path, so its removal changes nothing
-    live = np.flatnonzero(np.any(g.w > 0, axis=1))
-    n = live.size
+    sk = _Skeleton(g.w)
+    n = sk.live.size
     if not n:
         return out
-    rows, cols = np.nonzero(g.w[np.ix_(live, live)] > 0)
-    starts = np.searchsorted(rows, np.arange(n))
     # row s holds the bit of source s alone; the bits past n stay unused
     eye = np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool), axis=1).view(np.uint64)
     unseen = ~eye
     # totals over ordered pairs, so every unordered pair counts twice
-    base_sum, base_pairs = _hop_sum(cols, starts, eye, unseen)
+    base_sum, base_pairs = _hop_sum(sk, eye, unseen)
     # base pairs that involve each vertex, itself excluded
     reach = _popcount(~unseen, axis=1) - 1
     for v in range(n):
@@ -137,12 +163,12 @@ def closeness_vitality(g: Graph) -> np.ndarray:
         frontier, unseen = eye.copy(), ~eye
         frontier[v] = 0
         unseen[v] = 0
-        reduced_sum, reduced_pairs = _hop_sum(cols, starts, frontier, unseen)
+        reduced_sum, reduced_pairs = _hop_sum(sk, frontier, unseen)
         # pairs not involving v that were finite in the base graph
         if reduced_pairs < base_pairs - 2 * reach[v]:
-            out[live[v]] = np.inf
+            out[sk.live[v]] = np.inf
         else:
-            out[live[v]] = (base_sum - reduced_sum) / 2
+            out[sk.live[v]] = (base_sum - reduced_sum) / 2
     return out
 
 

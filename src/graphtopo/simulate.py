@@ -15,14 +15,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Graph, NumericalError, connected_components, eig_sym, laplacian
+from .core import SIGNAL_MODES, Graph, NumericalError, connected_components, eig_sym, laplacian
 from .learning import ObservationMatrix
 from .physical import BoundaryCondition, circuit_solve
 
 __all__ = ["MODES", "SimSpec", "simulate"]
 
-MODES = ("sources", "dipole", "pinned_pair", "diffusion",
-         "adjacency_shift", "bandlimited")
+MODES = SIGNAL_MODES
 
 _REQUIRED = {
     "sources": frozenset(),

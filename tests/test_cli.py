@@ -109,6 +109,20 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "edges": [[0, 1]]}',
+        '{"n": 3, "edges": [[0, 1, null]]}',
+        '[[0, 1, 1.0]]',
+        '{"edges": [[0, 1, 1.0]]}',
+    ], ids=["no-weight", "null-weight", "top-level-list", "missing-n"])
+    def test_malformed_graph_json_exits_one(self, text, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(text)
+        assert run("metro", "centrality", "--graph", "g.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph ") and "\n" not in err.strip()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
 
 class TestRegressReport:
     def test_unconverged_rows_reported(self, tmp_path, monkeypatch, inputs):
@@ -456,3 +470,66 @@ class TestScipyFree:
         assert proc.returncode == 0, proc.stderr
         codes = json.loads(proc.stdout.splitlines()[-1])
         assert codes == {name: 0 for name, _ in cases}, proc.stderr
+
+
+# Prints the graphtopo modules loaded after running the code in argv[1].
+LOADED = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "graphtopo")))
+"""
+
+
+def loaded_modules(code: str, cwd=None) -> list[str]:
+    proc = run_python(LOADED, code, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def graphtopo_modules(*names: str) -> list[str]:
+    return sorted(["graphtopo", *(f"graphtopo.{name}" for name in names)])
+
+
+def dispatch_code(argv) -> str:
+    return f"from graphtopo.cli import dispatch; assert dispatch({argv!r}) == 0"
+
+
+class TestLazyLoading:
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_modules("import graphtopo") == ["graphtopo"]
+
+    def test_cli_import_loads_core_and_io(self):
+        assert loaded_modules("import graphtopo.cli") == graphtopo_modules("cli", "core", "io")
+
+    def test_metro_centrality_loads_only_metro(self, inputs, tmp_path):
+        argv = ["metro", "centrality", "--graph", str(inputs / "bench8.json")]
+        assert loaded_modules(dispatch_code(argv), cwd=tmp_path) \
+            == graphtopo_modules("cli", "core", "io", "metro")
+
+    def test_solve_circuit_dry_run_loads_only_physical(self, inputs):
+        argv = ["solve", "circuit", "--graph", str(inputs / "bench8.json"),
+                "--bc", str(inputs / "bc.csv"), "--dry-run"]
+        assert loaded_modules(dispatch_code(argv)) \
+            == graphtopo_modules("cli", "core", "io", "physical")
+
+    def test_learn_glasso_loads_no_unused_modules(self, inputs, tmp_path):
+        argv = ["learn", "glasso", "--corr", str(inputs / "corr.csv"), "--rho", "0.1"]
+        loaded = loaded_modules(dispatch_code(argv), cwd=tmp_path)
+        assert "graphtopo.solvers" in loaded
+        assert not {"graphtopo.physical", "graphtopo.simulate", "graphtopo.verify"} & set(loaded)
+
+    def test_exports_resolve_to_submodule_attributes(self):
+        # graphtopo.simulate is loaded before any package name is read, and
+        # the package name `simulate` must still mean the function
+        code = """
+import importlib, graphtopo, graphtopo.simulate
+for name, module in graphtopo._HOME.items():
+    home = importlib.import_module("graphtopo." + module)
+    assert getattr(graphtopo, name) is getattr(home, name), name
+    assert name in dir(graphtopo), name
+namespace = {}
+exec("from graphtopo import *", namespace)
+assert set(graphtopo.__all__) <= set(namespace) and callable(namespace["simulate"])
+"""
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr

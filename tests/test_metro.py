@@ -1,9 +1,13 @@
 """Tests for network centrality, vitality, and flow-based population."""
 
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
+from graphtopo import metro
 from graphtopo.core import Graph, NumericalError, laplacian
 from graphtopo.metro import FlowVector, betweenness, closeness_vitality, fick_population
 
@@ -145,6 +149,76 @@ def vitality_cases():
         cases.append((f"n{n}", random_graph(rng, n, 3.0 / n, isolated=(0, n - 1))))
     cases.append(("path200", path_graph(200)))
     return [pytest.param(g, id=name) for name, g in cases]
+
+
+def loop_betweenness(g):
+    """Reference: Brandes' algorithm with one breadth-first search per
+    source and a Python loop over every neighbour."""
+    n = g.n
+    adj = [np.flatnonzero(g.w[v] > 0) for v in range(n)]
+    scores = np.zeros(n)
+    for s in range(n):
+        dist = np.full(n, -1)
+        sigma = np.zeros(n)
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in adj[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(int(u))
+                if dist[u] == dist[v] + 1:
+                    sigma[u] += sigma[v]
+        delta = np.zeros(n)
+        for v in reversed(order):
+            for u in adj[v]:
+                if dist[u] == dist[v] + 1:
+                    delta[v] += sigma[v] / sigma[u] * (1.0 + delta[u])
+            if v != s:
+                scores[v] += delta[v]
+    return scores / 2.0
+
+
+def betweenness_cases():
+    """Seeded graphs, some disconnected and some with isolated vertices,
+    and the graphs on 0, 1 and 2 vertices."""
+    rng = np.random.default_rng(80)
+    cases = []
+    for k in range(20):
+        n = int(rng.integers(3, 30))
+        isolated = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
+        cases.append((f"random{k}", random_graph(rng, n, rng.uniform(0.05, 0.5), isolated)))
+    for n in (0, 1, 2):
+        cases.append((f"edgeless{n}", Graph.from_weights(np.zeros((n, n)))))
+    cases.append(("edge2", Graph.from_weights(np.ones((2, 2)) - np.eye(2))))
+    return [pytest.param(g, id=name) for name, g in cases]
+
+
+class TestBetweennessBlocks:
+    # sources per block; 2, 3 and 7 do not divide most vertex counts
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("g", betweenness_cases())
+    def test_matches_loop(self, g, block, monkeypatch):
+        nnz = np.count_nonzero(g.w)
+        if block is not None and nnz:
+            monkeypatch.setattr(metro, "_GATHER_FLOATS", block * nnz)
+        np.testing.assert_allclose(betweenness(g), loop_betweenness(g), rtol=0, atol=1e-12)
+
+    def test_blocks_bound_memory(self):
+        # one gather over all 300 sources would hold about 45,000 x 300
+        # floats (107 MB); blocks keep it near _GATHER_FLOATS (8 MB)
+        g = random_graph(np.random.default_rng(90), 300, 0.5)
+        tracemalloc.start()
+        try:
+            betweenness(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestClosenessVitality:
