@@ -5,7 +5,7 @@ Every run writes its outputs atomically and, unless suppressed, a JSON run
 report recording the command, parameters, seed, wall time, and metrics.
 Identical invocations with identical seeds produce byte-identical data
 files; the report is excluded from that guarantee because it records wall
-time. GRAPHTOPO_THREADS overrides --threads when set.
+time.
 
 Each command is one row of COMMANDS: its flags, a read step that loads and
 validates the inputs, and a compute step that returns a Result. `_run` is
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -57,18 +56,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _threads(args) -> int:
-    env = os.environ.get("GRAPHTOPO_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"GRAPHTOPO_THREADS must be an integer, got {env!r}")
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 def _read_bc(path):
@@ -133,8 +120,6 @@ _COMMON = (
     _arg("--report", default="report.json", help="run-report JSON path ('' to skip)"),
     _arg("--emit-plot-data", default=None, metavar="CSV",
          help="write tidy (x,y,series) plot data"),
-    _arg("--threads", type=int, default=None,
-         help="parallelism cap (GRAPHTOPO_THREADS overrides)"),
 )
 
 
@@ -231,15 +216,14 @@ def _read_signal(args):
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise UsageError("--params must be a JSON object")
-    return g, SimSpec(args.mode, seed=args.seed, p=args.p, params=params), _threads(args)
+    return g, SimSpec(args.mode, seed=args.seed, p=args.p, params=params)
 
 
 def _gen_signal(args, inputs) -> Result:
     from .simulate import simulate
-    g, spec, threads = inputs
-    x = simulate(g, spec, threads=threads)
+    x = simulate(*inputs)
     return Result({"signal": (args.out, x.x)},
-                  {"mode": args.mode, "snapshots": args.p, "threads": threads},
+                  {"mode": args.mode, "snapshots": args.p},
                   {"snapshot_0": x.x[:, 0]})
 
 

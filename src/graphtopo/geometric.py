@@ -97,11 +97,8 @@ def _weights_from_distances(r: np.ndarray, kernel: KernelSpec) -> Graph:
 def geometric_weights(cloud: VertexCloud, kernel: KernelSpec) -> Graph:
     """Weights from pairwise Euclidean distances: W_mn = kernel(r_mn) for
     r_mn <= kappa and m != n, else 0."""
-    from scipy.spatial.distance import cdist
-
-    r = cdist(cloud.coords, cloud.coords)
-    r = (r + r.T) / 2.0
-    return _weights_from_distances(r, kernel)
+    c = cloud.coords
+    return _weights_from_distances(np.sqrt(((c[:, None] - c[None]) ** 2).sum(-1)), kernel)
 
 
 def similarity_distances(x, norm: Literal["global", "unit_variance"] = "global") -> np.ndarray:

@@ -2,14 +2,12 @@
 
 Six generation modes share one seeding contract: column p of the output is
 drawn from numpy's Generator(PCG64) seeded with SeedSequence((seed, p)).
-Snapshots are therefore independent, a run's prefix does not depend on the
-total snapshot count, and threaded generation reproduces serial generation
-byte for byte.
+Snapshots are therefore independent, and a run's prefix does not depend on
+the total snapshot count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -17,7 +15,6 @@ import numpy as np
 
 from .core import SIGNAL_MODES, Graph, NumericalError, connected_components, eig_sym, laplacian
 from .learning import ObservationMatrix
-from .physical import BoundaryCondition, circuit_solve
 
 __all__ = ["MODES", "SimSpec", "simulate"]
 
@@ -130,47 +127,40 @@ def _prepare(g: Graph, spec: SimSpec):
             raise ValueError(f"mode {mode!r} needs at least 2 vertices")
         if len(connected_components(g.w)) > 1:
             raise NumericalError(f"mode {mode!r} requires a connected graph")
-
-    if mode in ("sources", "dipole"):
-        from scipy.linalg import cho_factor, cho_solve
-
-        # x(0) = 0 is the reference; the reduced Laplacian is positive
-        # definite on a connected graph.
-        fac = cho_factor(laplacian(g).l[1:, 1:])
+        # Vertex 0 is the zero-potential reference. K inverts the reduced
+        # Laplacian L[1:, 1:], positive definite on a connected graph, and is
+        # zero in row and column 0, so L K[:, a] = e_a - e_0.
+        k = np.zeros((n, n))
+        k[1:, 1:] = np.linalg.inv(laplacian(g).l[1:, 1:])
 
     if mode == "sources":
         def draw(rng):
             eps = rng.standard_normal(n)
             c = int(rng.integers(n))
             eps[c] = -float(np.sum(np.delete(eps, c)))
-            x = np.zeros(n)
-            x[1:] = cho_solve(fac, eps[1:])
-            return x
+            return k @ eps
 
         return draw
 
     if mode == "dipole":
         def draw(rng):
-            pair = rng.choice(n, size=2, replace=False)
+            a, b = rng.choice(n, size=2, replace=False)
             amp = float(rng.standard_normal())
-            i_vec = np.zeros(n)
-            i_vec[pair[0]] = amp
-            i_vec[pair[1]] = -amp
-            x = np.zeros(n)
-            x[1:] = cho_solve(fac, i_vec[1:])
-            return x
+            # scaling before the difference keeps x[0] at +0.0 when amp < 0
+            return amp * k[:, a] - amp * k[:, b]
 
         return draw
 
     if mode == "pinned_pair":
-        lap = laplacian(g)
-
         def draw(rng):
-            pair = rng.choice(n, size=2, replace=False)
-            vals = rng.standard_normal(2)
-            bc = BoundaryCondition({int(pair[0]): float(vals[0]),
-                                    int(pair[1]): float(vals[1])})
-            return circuit_solve(lap, bc)
+            a, b = rng.choice(n, size=2, replace=False)
+            va, vb = rng.standard_normal(2)
+            # L u = e_a - e_b: u is harmonic off the pair, and so is any
+            # affine map of it
+            u = k[:, a] - k[:, b]
+            x = vb + (va - vb) * (u - u[b]) / (u[a] - u[b])
+            x[a], x[b] = va, vb
+            return x
 
         return draw
 
@@ -216,22 +206,13 @@ def _prepare(g: Graph, spec: SimSpec):
     return draw
 
 
-def simulate(g: Graph, spec: SimSpec, threads: int = 1) -> ObservationMatrix:
+def simulate(g: Graph, spec: SimSpec) -> ObservationMatrix:
     """Generate spec.p snapshots of a random signal on g, one per column.
 
     The output depends only on (g, spec): each column has its own seeded
-    generator, so neither the total snapshot count nor the thread count
-    changes any column's bytes.
+    generator, so the total snapshot count changes no column's bytes.
     """
     draw = _prepare(g, spec)
-
-    def column(p: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, p)))
-        return draw(rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, range(spec.p)))
-    else:
-        cols = [column(p) for p in range(spec.p)]
+    cols = [draw(np.random.default_rng(np.random.SeedSequence((spec.seed, p))))
+            for p in range(spec.p)]
     return ObservationMatrix(np.column_stack(cols))

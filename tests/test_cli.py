@@ -237,13 +237,6 @@ class TestDeterminism:
         run(*self.ARGS, "--graph", inputs / "bench8.json", "--out", "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_env_thread_override_keeps_bytes(self, tmp_path, monkeypatch, inputs):
-        monkeypatch.chdir(tmp_path)
-        run(*self.ARGS, "--graph", inputs / "bench8.json", "--out", "a.csv")
-        monkeypatch.setenv("GRAPHTOPO_THREADS", "4")
-        run(*self.ARGS, "--graph", inputs / "bench8.json", "--out", "c.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
-
     def test_seed_and_generator_recorded(self, tmp_path, monkeypatch, inputs):
         monkeypatch.chdir(tmp_path)
         run(*self.ARGS, "--graph", inputs / "bench8.json", "--out", "a.csv")
@@ -443,17 +436,17 @@ for name, argv in json.loads(sys.argv[1]):
 print(json.dumps(codes))
 """
 
-# Commands that must run without scipy; the others import it inside the
-# function that needs it.
-SCIPY_FREE = [
-    ("gen-signal", lambda d: [*TestDeterminism.ARGS, "--graph", d / "bench8.json"]),
+# Every command runs for real with scipy blocked: each DRY_RUNS row without
+# --dry-run (regress with --clamp-negative, which its input needs), and gen
+# signal in each mode that solves L x = i.
+SCIPY_BLOCKED_RUNS = [
+    *((name, argv) for name, argv in DRY_RUNS if name != "learn-regress"),
     ("learn-regress", lambda d: ["learn", "regress", "--obs", d / "obs.csv",
                                  "--rho", "0.1", "--clamp-negative"]),
-    *((name, argv) for name, argv in DRY_RUNS if name in {
-        "learn-glasso", "learn-smooth", "learn-polyfit", "metro-centrality",
-        "metro-population", "solve-circuit", "solve-absorb",
-        "solve-hitting", "solve-commute", "solve-pagerank", "solve-propagate",
-        "solve-denoise", "lattice-gdft", "portfolio-allocate", "verify"}),
+    *((f"gen-signal-{mode}",
+       lambda d, mode=mode: ["gen", "signal", "--graph", d / "bench8.json",
+                             "--mode", mode, "--seed", "0", "--p", "5"])
+      for mode in ("sources", "dipole", "pinned_pair")),
 ]
 
 
@@ -465,7 +458,7 @@ class TestScipyFree:
         assert proc.stdout.strip() == "[]"
 
     def test_commands_run_with_scipy_blocked(self, tmp_path, inputs):
-        cases = [(name, [str(a) for a in argv(inputs)]) for name, argv in SCIPY_FREE]
+        cases = [(name, [str(a) for a in argv(inputs)]) for name, argv in SCIPY_BLOCKED_RUNS]
         proc = run_python(BLOCKED_RUN, json.dumps(cases), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         codes = json.loads(proc.stdout.splitlines()[-1])
@@ -511,6 +504,12 @@ class TestLazyLoading:
                 "--bc", str(inputs / "bc.csv"), "--dry-run"]
         assert loaded_modules(dispatch_code(argv)) \
             == graphtopo_modules("cli", "core", "io", "physical")
+
+    def test_gen_signal_loads_no_physical_and_no_thread_pool(self, inputs, tmp_path):
+        argv = ["gen", "signal", "--graph", str(inputs / "bench8.json"),
+                "--mode", "pinned_pair", "--seed", "0", "--p", "3"]
+        code = dispatch_code(argv) + "; assert 'concurrent.futures' not in sys.modules"
+        assert "graphtopo.physical" not in loaded_modules(code, cwd=tmp_path)
 
     def test_learn_glasso_loads_no_unused_modules(self, inputs, tmp_path):
         argv = ["learn", "glasso", "--corr", str(inputs / "corr.csv"), "--rho", "0.1"]

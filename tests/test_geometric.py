@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -43,6 +45,15 @@ class TestKernelSpec:
 
 
 class TestGeometricWeights:
+    def test_runs_with_scipy_blocked(self, monkeypatch):
+        for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
+            monkeypatch.setitem(sys.modules, name, None)
+        coords = np.random.default_rng(3).normal(size=(20, 3))
+        g = geometric_weights(VertexCloud(coords), KernelSpec("inv_dist"))
+        r = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
+        np.fill_diagonal(r, np.inf)
+        np.testing.assert_allclose(g.w, 1.0 / r, rtol=1e-14)
+
     def test_two_points_gauss(self):
         cloud = VertexCloud(np.array([[0.0, 0.0], [3.0, 4.0]]))
         g = geometric_weights(cloud, KernelSpec("gauss_sq", tau=5.0))

@@ -2,12 +2,13 @@
 
 Each case pairs a route with the signal model it is derived for, at a fixed
 seed and a small size, and holds the top-k edge F1 (k = the number of true
-edges) to a floor: the measured value less a stated margin.
+edges) to a floor: the measured value less a margin of 0.05, about three
+of the 64 edges swapped.
 """
 
 import numpy as np
 
-from graphtopo.learning import correlation_matrix
+from graphtopo.learning import PolyFitConfig, correlation_matrix, polynomial_fit_eigenvalues
 from graphtopo.simulate import SimSpec, simulate
 from graphtopo.solvers import GlassoConfig, glasso
 
@@ -23,13 +24,37 @@ def top_k_edge_f1(score: np.ndarray, w: np.ndarray) -> float:
     return 2.0 * np.count_nonzero(pred & true) / (pred.sum() + true.sum())
 
 
+def graph30():
+    """30 vertices, 64 edges."""
+    return random_connected_graph(np.random.default_rng(1), 30, p_edge=0.15,
+                                  w_low=0.5, w_high=1.5)
+
+
+def diffusion_signals(g):
+    return simulate(g, SimSpec("diffusion", seed=1, p=2000,
+                               params={"h": (0.3, 0.2, 0.5)})).x
+
+
 def test_glasso_recovers_diffusion_graph():
-    # 30 vertices, 64 edges. Measured: glasso |Q| 0.969 (62 of 64 edges),
-    # against 0.906 for |XX'| on the same data. The margin of 0.05 is about
-    # three edges swapped.
-    g = random_connected_graph(np.random.default_rng(1), 30, p_edge=0.15,
-                               w_low=0.5, w_high=1.5)
-    x = simulate(g, SimSpec("diffusion", seed=1, p=2000,
-                            params={"h": (0.3, 0.2, 0.5)})).x
-    q = glasso(correlation_matrix(x), GlassoConfig(rho=0.05))
+    # Measured: glasso |Q| 0.969 (62 of 64 edges), against 0.906 for |XX'|
+    # on the same data.
+    g = graph30()
+    q = glasso(correlation_matrix(diffusion_signals(g)), GlassoConfig(rho=0.05))
     assert top_k_edge_f1(np.abs(q), g.w) >= 0.969 - 0.05
+
+
+def test_glasso_recovers_sources_graph():
+    # Sources signals solve L x = eps, so their precision is close to L and
+    # edges are negative entries of Q. Measured: -Q 0.938 (60 of 64 edges).
+    g = graph30()
+    x = simulate(g, SimSpec("sources", seed=1, p=2000)).x
+    q = glasso(correlation_matrix(x), GlassoConfig(rho=0.05))
+    assert top_k_edge_f1(-q, g.w) >= 0.938 - 0.05
+
+
+def test_polyfit_recovers_diffusion_graph():
+    # Measured: -L 1.000 (64 of 64 edges).
+    g = graph30()
+    _, l = polynomial_fit_eigenvalues(correlation_matrix(diffusion_signals(g)),
+                                      PolyFitConfig(m=2))
+    assert top_k_edge_f1(-l.l, g.w) >= 1.0 - 0.05

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphtopo.core import Graph, NumericalError, eig_sym, laplacian, smoothness
+from graphtopo.physical import BoundaryCondition, circuit_solve
 from graphtopo.simulate import MODES, SimSpec, simulate
 
 
@@ -100,12 +101,6 @@ class TestReproducibility:
         short = simulate(bench8, spec_short).x
         np.testing.assert_array_equal(long[:, :20], short)
 
-    def test_threads_match_serial(self, bench8):
-        spec = SimSpec("sources", seed=5, p=40)
-        serial = simulate(bench8, spec).x
-        threaded = simulate(bench8, spec, threads=4).x
-        assert serial.tobytes() == threaded.tobytes()
-
 
 class TestSourcesMode:
     def test_reference_vertex_and_zero_sum(self, bench8):
@@ -157,6 +152,18 @@ class TestPinnedPairMode:
             # harmonic functions attain their extremes on the pinned pair
             assert np.argmax(col) in support or col.max() == col.min()
             assert np.argmin(col) in support or col.max() == col.min()
+
+    def test_exact_pins_and_circuit_solve_reference(self, bench8):
+        obs = simulate(bench8, SimSpec("pinned_pair", seed=4, p=10))
+        lap = laplacian(bench8)
+        for p in range(10):
+            rng = snapshot_rng(4, p)
+            pair = rng.choice(8, size=2, replace=False)
+            vals = rng.standard_normal(2)
+            col = obs.x[:, p]
+            assert col[pair].tobytes() == vals.tobytes()
+            bc = BoundaryCondition({int(pair[0]): float(vals[0]), int(pair[1]): float(vals[1])})
+            np.testing.assert_allclose(col, circuit_solve(lap, bc), rtol=0, atol=1e-12)
 
     def test_disconnected_raises(self):
         with pytest.raises(NumericalError):
