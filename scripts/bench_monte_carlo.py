@@ -1,0 +1,114 @@
+"""Time physical.monte_carlo_hitting in process, on this checkout and on a
+baseline checkout, and write the timings as JSON.
+
+    python scripts/bench_monte_carlo.py --baseline ../parent/src --out BENCH_14.json
+
+Each round runs every case once in a fresh interpreter per checkout, the two
+checkouts alternating, with OPENBLAS_NUM_THREADS=1. The JSON gives, per
+checkout and case, the median, min and max seconds over the rounds, the
+checkout's git sha and whether its source tree had uncommitted changes, and
+the (mean, stderr) the case returned, which must be the same for both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+# name, vertices, edge probability (None: a path), walks
+CASES = [
+    ("verify_path", 6, None, 1_000_000),
+    ("sparse_25", 25, 0.15, 100_000),
+    ("sparse_100", 100, 0.05, 50_000),
+    ("sparse_300", 300, 0.02, 20_000),
+    ("dense_300", 300, 0.5, 20_000),
+    ("dense_1000", 1000, 0.5, 5_000),
+]
+
+
+def _graph(np, Graph, n, p, seed):
+    """A path through all vertices in random order plus random edges with
+    weights in [0.1, 1); p None gives the unit-weight path 0-1-...-(n-1)."""
+    w = np.zeros((n, n))
+    if p is None:
+        w[np.arange(n - 1), np.arange(1, n)] = 1.0
+    else:
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.random((n, n)) < p, 1) * rng.uniform(0.1, 1.0, (n, n))
+        order = rng.permutation(n)
+        a, b = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+        w[a, b] = rng.uniform(0.1, 1.0, n - 1)
+    return Graph.from_weights(w + w.T)
+
+
+def worker(src: str) -> None:
+    """Run every case once on the graphtopo under src; print JSON."""
+    sys.path.insert(0, src)
+    import numpy as np
+    from graphtopo.core import Graph
+    from graphtopo.physical import monte_carlo_hitting
+
+    out = {}
+    for i, (name, n, p, walks) in enumerate(CASES):
+        g = _graph(np, Graph, n, p, seed=i)
+        t0 = time.perf_counter()
+        result = monte_carlo_hitting(g, 0, n - 1, walks=walks, seed=3)
+        out[name] = [time.perf_counter() - t0, list(result)]
+    print(json.dumps(out))
+
+
+def _checkout(src: Path) -> dict:
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    return {"git_sha": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "."))}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", required=True, help="src directory of the baseline checkout")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--out", default="BENCH_14.json")
+    args = ap.parse_args(argv)
+    here = Path(__file__).resolve().parents[1] / "src"
+    checkouts = {"baseline": Path(args.baseline).resolve(), "change": here}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    runs = {label: [] for label in checkouts}
+    for r in range(args.rounds):
+        for label, src in checkouts.items():
+            proc = subprocess.run([sys.executable, __file__, "--worker", str(src)], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(proc.stdout))
+            print(f"round {r + 1} {label} done", file=sys.stderr)
+    rows = []
+    for label, src in checkouts.items():
+        for name, n, p, walks in CASES:
+            seconds = [run[name][0] for run in runs[label]]
+            results = {tuple(run[name][1]) for run in runs[label]}
+            if len(results) != 1:
+                raise RuntimeError(f"{label} {name} gave different results across rounds")
+            rows.append({"kernel": "physical.monte_carlo_hitting", "checkout": label,
+                         **_checkout(src), "case": {"name": name, "n": n, "p": p,
+                                                    "walks": walks},
+                         "median_s": round(statistics.median(seconds), 4),
+                         "min_s": round(min(seconds), 4), "max_s": round(max(seconds), 4),
+                         "rounds": len(seconds), "result": list(results.pop())})
+    same = all(a["result"] == b["result"] for a, b in zip(rows, rows[len(CASES):]))
+    report = {"machine": f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS=1, in process",
+              "same_results": same, "timings": rows}
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(sys.argv[2])
+    else:
+        sys.exit(main())

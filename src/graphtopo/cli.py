@@ -545,8 +545,9 @@ def _verify_plan() -> list[str]:
 
 def _verify(args, _) -> Result:
     from .verify import run_suite
-    ok = run_suite()
-    return Result({}, converged=ok,
+    check_s = {}
+    ok = run_suite(check_s=check_s)
+    return Result({}, {"check_s": check_s}, converged=ok,
                   failure=None if ok else "verification suite reported failures")
 
 
@@ -748,12 +749,13 @@ def dispatch(argv) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so it must be caught first
     except (NumericalError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

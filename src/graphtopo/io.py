@@ -64,6 +64,8 @@ def write_vector_csv(path, v) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """Rows of floats; ValueError on an empty or ragged file or on a NaN or
+    infinity, whose row is counted from 1 over the non-blank lines."""
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -75,7 +77,11 @@ def read_matrix_csv(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: ragged CSV rows")
-    return np.array(rows, dtype=float)
+    m = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in row {bad[0] + 1}")
+    return m
 
 
 def read_vector_csv(path) -> np.ndarray:

@@ -160,6 +160,57 @@ def hitting_times(g: Graph, target: int) -> np.ndarray:
     return h
 
 
+# cells of the Monte Carlo guide table (int32, so 4 MB at most), and the
+# buckets it aims for per step of a row's CDF: a draw needs the binary search
+# only when its bucket holds a step, so for about 1/128 of the draws while the
+# cap leaves room for that many buckets
+_GUIDE_CELLS = 1 << 20
+_GUIDE_BUCKETS_PER_STEP = 128
+
+
+def _guide_table(table: np.ndarray, n: int, max_neighbors: int) -> tuple[int, np.ndarray]:
+    """Index table over the shifted CDF rows of monte_carlo_hitting (Chen &
+    Asau 1974): u in [0, 1) falls in one of `width` equal buckets, and cell
+    width*s + k holds width times the next vertex from s of every draw in
+    bucket k, or -1 where the bucket straddles a step of the CDF. fl(u + 2s)
+    and searchsorted are both monotone in u, so a bucket whose lowest and
+    highest draws lead to the same vertex leads there for every draw in it."""
+    want = 1 << (_GUIDE_BUCKETS_PER_STEP * max_neighbors - 1).bit_length()
+    width = min(want, 1 << (max(_GUIDE_CELLS // n, 1).bit_length() - 1))
+    lowest = np.arange(width) / width
+    # the highest draw of a bucket: draws are multiples of 2**-53
+    highest = lowest + (1.0 / width - 2.0 ** -53)
+    guide = np.empty((n, width), dtype=np.int32)
+    for s in range(n):
+        # queries lie in [2s, 2s + 1], so row s alone gives the flat
+        # table's count less n*s
+        row = table[n * s:n * (s + 1)]
+        first = np.searchsorted(row, lowest + 2.0 * s)
+        last = np.searchsorted(row, highest + 2.0 * s)
+        guide[s] = np.where(first == last, width * first, -1)
+    return width, guide.ravel()
+
+
+def _step(table: np.ndarray, n: int, width: int, guide: np.ndarray,
+          rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw and one step for every walker. A walker at vertex s is held
+    as its guide-table row width*s, and so is its next vertex: from the guide
+    table where it decides the draw's bucket, else the number of entries of
+    cum[s] below the draw, found by binary search in the flat table."""
+    u = rng.random(rows.size)
+    # u is a multiple of 2**-53 and width a power of two: u * width is exact
+    u *= width
+    idx = u.astype(np.int32)
+    idx += rows
+    nxt = guide.take(idx)
+    undecided = np.flatnonzero(nxt < 0)
+    if undecided.size:
+        s = rows[undecided] // width
+        vertex = np.searchsorted(table, u[undecided] / width + 2.0 * s) - n * s
+        nxt[undecided] = width * vertex
+    return nxt
+
+
 def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
                         seed: int, max_steps: int = 1_000_000) -> tuple[float, float]:
     """Empirical mean and standard error of the hitting time by simulating
@@ -180,19 +231,19 @@ def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
     # row s shifted to [2s, 2s + 1]: the flat table is sorted and a query
     # 2s + u never lands in another row, even where the sum rounds
     table = (cum + 2.0 * np.arange(n)[:, None]).ravel()
+    width, guide = _guide_table(table, n, int((w > 0).sum(axis=1).max()))
     rng = np.random.default_rng(seed)
-    # the walkers not yet absorbed: their index and current vertex
-    active = np.arange(walks)
-    state = np.full(walks, start, dtype=np.int64)
+    # the walkers not yet absorbed: their index and their vertex's guide row
+    active = np.arange(walks, dtype=np.int32)
+    rows = np.full(walks, width * start, dtype=np.int32)
     steps = np.zeros(walks, dtype=np.int64)
     for t in range(1, max_steps + 1):
-        u = rng.random(active.size)
-        # next vertex: the number of entries of cum[state] below u
-        state = np.searchsorted(table, u + 2.0 * state) - n * state
-        hit = state == target
+        rows = _step(table, n, width, guide, rows, rng)
+        hit = rows == width * target
         if hit.any():
             steps[active[hit]] = t
-            active, state = active[~hit], state[~hit]
+            keep = np.flatnonzero(~hit)
+            active, rows = active.take(keep), rows.take(keep)
             if not active.size:
                 break
     if active.size:

@@ -7,6 +7,8 @@ reports one line per check.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .core import DirectedGraph, Graph, NumericalError, connected_components, eig_sym, laplacian
@@ -234,11 +236,15 @@ CHECKS = [
 ]
 
 
-def run_suite(emit=print) -> bool:
-    """Run every check; emit one line each; True iff all pass."""
+def run_suite(emit=print, check_s: dict | None = None) -> bool:
+    """Run every check; emit one line each; True iff all pass. A `check_s`
+    dict receives each check's wall time in seconds under its name."""
     all_ok = True
     for name, fn in CHECKS:
+        t0 = time.perf_counter()
         detail = fn()
+        if check_s is not None:
+            check_s[name] = round(time.perf_counter() - t0, 6)
         if detail is None:
             emit(f"ok {name}")
         else:

@@ -123,6 +123,43 @@ class TestExitCodes:
         assert err.startswith("error: graph ") and "\n" not in err.strip()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
+    def test_linalg_error_exits_two(self, tmp_path, monkeypatch, inputs, capsys):
+        # LinAlgError subclasses ValueError; it is still a numerical failure
+        import graphtopo.physical
+
+        def singular(*_):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(graphtopo.physical, "hitting_times", singular)
+        monkeypatch.chdir(tmp_path)
+        assert run("solve", "hitting", "--graph", inputs / "bench8.json", "--target", "3",
+                   "--out", "h.csv", "--report", "r.json") == 2
+        assert capsys.readouterr().err == "error: Singular matrix\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,bad", [
+        (["learn", "lasso", "--obs", "bad.csv", "--rho", "0.1", "--out", "out.csv"],
+         "design.csv"),
+        (["learn", "regress", "--obs", "bad.csv", "--rho", "0.1", "--out-w", "out.csv"],
+         "obs.csv"),
+        (["learn", "polyfit", "--obs", "bad.csv", "--order", "2", "--out-w", "out.csv"],
+         "obs.csv"),
+        (["learn", "smooth", "--obs", "bad.csv", "--alpha", "1", "--beta", "1",
+          "--out-w", "out.csv"], "obs.csv"),
+        (["learn", "glasso", "--corr", "bad.csv", "--rho", "0.1", "--out", "out.csv"],
+         "corr.csv"),
+        (["solve", "circuit", "--graph", "{d}/bench8.json", "--bc", "{d}/bc.csv",
+          "--sources", "bad.csv", "--out", "out.csv"], "flows.csv"),
+    ], ids=["lasso", "regress", "polyfit", "smooth", "glasso", "circuit"])
+    def test_non_finite_csv_exits_one(self, argv, bad, tmp_path, monkeypatch, inputs, capsys):
+        monkeypatch.chdir(tmp_path)
+        m = io.read_matrix_csv(inputs / bad)
+        m[-1, 0] = np.nan
+        io.write_matrix_csv("bad.csv", m)
+        argv = [a.format(d=inputs) for a in argv]
+        assert run(*argv, "--report", "r.json") == 1
+        assert capsys.readouterr().err == f"error: bad.csv: non-finite value in row {len(m)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
 
 class TestRegressReport:
     def test_unconverged_rows_reported(self, tmp_path, monkeypatch, inputs):
@@ -406,6 +443,18 @@ class TestRunnerContract:
         assert report["command"] == "verify"
         assert report["converged"] is True
         assert report["outputs"] == {}
+
+    def test_verify_report_times_each_check(self, tmp_path, monkeypatch, capsys):
+        import graphtopo.verify
+        checks = [("first", lambda: None), ("second", lambda: "off target")]
+        monkeypatch.setattr(graphtopo.verify, "CHECKS", checks)
+        monkeypatch.chdir(tmp_path)
+        assert run("verify", "--report", "r.json") == 2
+        # stdout keeps one line per check and nothing else
+        assert capsys.readouterr().out == "ok first\nFAIL second: off target\n"
+        check_s = json.loads((tmp_path / "r.json").read_text())["metrics"]["check_s"]
+        assert list(check_s) == ["first", "second"]
+        assert all(isinstance(t, float) and t >= 0 for t in check_s.values())
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

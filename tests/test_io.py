@@ -46,6 +46,17 @@ def test_ragged_csv_rejected(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_csv_rejected(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n\n3,4\n5,{token}\n")
+    with pytest.raises(ValueError, match=r"bad.csv: non-finite value in row 3$"):
+        read_matrix_csv(path)
+    path.write_text(f"1\n{token}\n")
+    with pytest.raises(ValueError, match="non-finite value in row 2"):
+        read_vector_csv(path)
+
+
 def test_graph_json_round_trip():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 0.5

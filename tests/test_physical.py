@@ -258,6 +258,89 @@ class TestMonteCarloHitting:
                 == monte_carlo_hitting(bench8, 7, 0, walks=2000, seed=7))
 
 
+def _reference_walk(g, start, target, walks, seed, max_steps=1_000_000):
+    """monte_carlo_hitting as one binary search per walker and step over the
+    flat table of shifted CDF rows: the walks the guide table must reproduce."""
+    if start == target:
+        return 0.0, 0.0
+    w = np.asarray(g.w, dtype=float)
+    n = w.shape[0]
+    deg = w.sum(axis=1)
+    moves = deg > 0
+    cum = np.ones((n, n))
+    cum[moves] = np.cumsum(w[moves] / deg[moves, None], axis=1)
+    cum[:, -1] = 1.0
+    table = (cum + 2.0 * np.arange(n)[:, None]).ravel()
+    rng = np.random.default_rng(seed)
+    active = np.arange(walks)
+    state = np.full(walks, start, dtype=np.int64)
+    steps = np.zeros(walks, dtype=np.int64)
+    for t in range(1, max_steps + 1):
+        u = rng.random(active.size)
+        state = np.searchsorted(table, u + 2.0 * state) - n * state
+        hit = state == target
+        if hit.any():
+            steps[active[hit]] = t
+            active, state = active[~hit], state[~hit]
+            if not active.size:
+                break
+    assert not active.size
+    return float(steps.mean()), float(steps.std(ddof=1) / np.sqrt(walks))
+
+
+def _connected_random_graph(rng, n, p):
+    """Random edges plus a path through all vertices in random order, with
+    weights in [0.1, 1)."""
+    w = np.triu(rng.random((n, n)) < p, 1) * rng.uniform(0.1, 1.0, (n, n))
+    order = rng.permutation(n)
+    a, b = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+    w[a, b] = rng.uniform(0.1, 1.0, n - 1)
+    return Graph.from_weights(w + w.T)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(14)
+    yield "verify-path", path_graph(6), 0, 5, 50_000
+    for n, p in [(25, 0.15), (60, 0.06), (150, 0.03), (300, 0.01)]:
+        yield f"sparse-{n}", _connected_random_graph(rng, n, p), 0, n - 1, 1000
+    yield "dense-300", _connected_random_graph(rng, 300, 0.5), 1, 2, 1000
+    # a weight of 1e-9 next to weights of 1 puts a CDF step inside a bucket
+    tiny = _connected_random_graph(rng, 12, 0.4)
+    w = np.where(rng.random(tiny.w.shape) < 0.5, 1e-9, 1.0) * (tiny.w > 0)
+    yield "tiny-weights", Graph.from_weights(np.triu(w, 1) + np.triu(w, 1).T), 0, 11, 20_000
+    padded = np.zeros((9, 9))
+    keep = [0, 1, 2, 4, 5, 6, 7, 8]
+    padded[np.ix_(keep, keep)] = path_graph(8, np.linspace(0.2, 1.0, 7)).w
+    yield "isolated-vertex", Graph.from_weights(padded), 8, 0, 5000
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+class TestMonteCarloOracle:
+    """The guide table changes how the next vertex is found, not which one."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_binary_search_walk(self, case):
+        _, g, start, target, walks = case
+        assert (monte_carlo_hitting(g, start, target, walks=walks, seed=5)
+                == _reference_walk(g, start, target, walks=walks, seed=5))
+
+    def test_narrow_table_falls_back_on_most_draws(self, monkeypatch):
+        # a 300-cell cap leaves one bucket per vertex on a 300-vertex graph:
+        # every vertex with two or more neighbours goes through the fallback
+        import graphtopo.physical as physical
+        monkeypatch.setattr(physical, "_GUIDE_CELLS", 300)
+        _, g, start, target, walks = next(c for c in ORACLE_CASES if c[0] == "dense-300")
+        assert (monte_carlo_hitting(g, start, target, walks=walks, seed=6)
+                == _reference_walk(g, start, target, walks=walks, seed=6))
+
+    def test_verify_check_value(self):
+        # the walks behind `graphtopo verify`'s Monte Carlo check
+        assert monte_carlo_hitting(path_graph(6), 0, 5, walks=1_000_000, seed=105) \
+            == (24.988006, 0.01998963260616302)
+
+
 class TestResistanceAndCommute:
     def test_single_edge_is_reciprocal_weight(self):
         g = Graph.from_weights(np.array([[0.0, 4.0], [4.0, 0.0]]))
