@@ -1,13 +1,16 @@
-"""Time physical.monte_carlo_hitting in process, on this checkout and on a
-baseline checkout, and write the timings as JSON.
+"""Time physical.monte_carlo_hitting in process, and trace its memory, on
+this checkout and on a baseline checkout, and write the results as JSON.
 
-    python scripts/bench_monte_carlo.py --baseline ../parent/src --out BENCH_14.json
+    python scripts/bench_monte_carlo.py --baseline ../parent/src --out BENCH.json
 
-Each round runs every case once in a fresh interpreter per checkout, the two
-checkouts alternating, with OPENBLAS_NUM_THREADS=1. The JSON gives, per
+Each round runs every case once in a fresh interpreter per checkout, with
+OPENBLAS_NUM_THREADS=1; the checkout that runs first swaps every round. After
+the rounds, one more interpreter per checkout runs every case under
+tracemalloc, so the tracing does not slow the timed calls. The JSON gives, per
 checkout and case, the median, min and max seconds over the rounds, the
-checkout's git sha and whether its source tree had uncommitted changes, and
-the (mean, stderr) the case returned, which must be the same for both.
+tracemalloc peak of the call, the checkout's git sha and whether its source
+tree had uncommitted changes, and the (mean, stderr) the case returned, which
+must be the same for both checkouts and both passes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # name, vertices, edge probability (None: a path), walks
@@ -47,8 +51,10 @@ def _graph(np, Graph, n, p, seed):
     return Graph.from_weights(w + w.T)
 
 
-def worker(src: str) -> None:
-    """Run every case once on the graphtopo under src; print JSON."""
+def worker(src: str, measure: str) -> None:
+    """Run every case once on the graphtopo under src and print JSON: per
+    case the seconds ("time") or the tracemalloc peak bytes ("memory") of the
+    call, and its result."""
     sys.path.insert(0, src)
     import numpy as np
     from graphtopo.core import Graph
@@ -57,9 +63,16 @@ def worker(src: str) -> None:
     out = {}
     for i, (name, n, p, walks) in enumerate(CASES):
         g = _graph(np, Graph, n, p, seed=i)
-        t0 = time.perf_counter()
-        result = monte_carlo_hitting(g, 0, n - 1, walks=walks, seed=3)
-        out[name] = [time.perf_counter() - t0, list(result)]
+        if measure == "memory":
+            tracemalloc.start()
+            result = monte_carlo_hitting(g, 0, n - 1, walks=walks, seed=3)
+            value = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        else:
+            t0 = time.perf_counter()
+            result = monte_carlo_hitting(g, 0, n - 1, walks=walks, seed=3)
+            value = time.perf_counter() - t0
+        out[name] = [value, list(result)]
     print(json.dumps(out))
 
 
@@ -75,23 +88,29 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", required=True, help="src directory of the baseline checkout")
     ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_14.json")
+    ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     here = Path(__file__).resolve().parents[1] / "src"
     checkouts = {"baseline": Path(args.baseline).resolve(), "change": here}
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+
+    def spawn(src, measure):
+        proc = subprocess.run([sys.executable, __file__, "--worker", str(src), measure],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
     runs = {label: [] for label in checkouts}
     for r in range(args.rounds):
-        for label, src in checkouts.items():
-            proc = subprocess.run([sys.executable, __file__, "--worker", str(src)], env=env,
-                                  capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(proc.stdout))
+        # the checkout that runs first swaps every round
+        for label, src in list(checkouts.items())[::1 if r % 2 == 0 else -1]:
+            runs[label].append(spawn(src, "time"))
             print(f"round {r + 1} {label} done", file=sys.stderr)
+    peaks = {label: spawn(src, "memory") for label, src in checkouts.items()}
     rows = []
     for label, src in checkouts.items():
         for name, n, p, walks in CASES:
             seconds = [run[name][0] for run in runs[label]]
-            results = {tuple(run[name][1]) for run in runs[label]}
+            results = {tuple(run[name][1]) for run in [*runs[label], peaks[label]]}
             if len(results) != 1:
                 raise RuntimeError(f"{label} {name} gave different results across rounds")
             rows.append({"kernel": "physical.monte_carlo_hitting", "checkout": label,
@@ -99,9 +118,12 @@ def main(argv=None) -> int:
                                                     "walks": walks},
                          "median_s": round(statistics.median(seconds), 4),
                          "min_s": round(min(seconds), 4), "max_s": round(max(seconds), 4),
-                         "rounds": len(seconds), "result": list(results.pop())})
+                         "rounds": len(seconds),
+                         "tracemalloc_peak_mb": round(peaks[label][name][0] / 1e6, 2),
+                         "result": list(results.pop())})
     same = all(a["result"] == b["result"] for a, b in zip(rows, rows[len(CASES):]))
-    report = {"machine": f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS=1, in process",
+    report = {"machine": f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS=1, in process; "
+                         "peaks from a separate tracemalloc pass",
               "same_results": same, "timings": rows}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0 if same else 1
@@ -109,6 +131,6 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        worker(sys.argv[2])
+        worker(sys.argv[2], sys.argv[3])
     else:
         sys.exit(main())

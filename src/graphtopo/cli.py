@@ -382,9 +382,10 @@ def _read_commute(args):
 
 
 def _solve_commute(args, g) -> Result:
-    from .physical import commute_time, effective_resistance
+    from .physical import effective_resistance
     r = effective_resistance(g, args.m, args.n)
-    ct = commute_time(g, args.m, args.n)
+    # commute_time's own expression, without a second pseudo-inverse
+    ct = float(g.degrees().sum()) * r
     return Result({"resistance_commute": (args.out, np.array([r, ct]))},
                   {"effective_resistance": r, "commute_time": ct})
 

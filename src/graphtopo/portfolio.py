@@ -127,11 +127,12 @@ def _split_sides(g: Graph, side) -> tuple[np.ndarray, np.ndarray]:
     side = np.asarray(side, dtype=int).reshape(-1)
     if side.size == 0:
         raise ValueError("one side of the cut is empty")
-    if np.unique(side).size != side.size:
+    ordered = np.sort(side)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("cut side contains duplicate vertices")
-    if side.min() < 0 or side.max() >= g.n:
+    if ordered[0] < 0 or ordered[-1] >= g.n:
         raise ValueError("cut side contains out-of-range vertices")
-    other = np.setdiff1d(np.arange(g.n), side)
+    other = np.delete(np.arange(g.n), side)
     if other.size == 0:
         raise ValueError("one side of the cut is empty")
     return side, other

@@ -554,6 +554,14 @@ class TestLazyLoading:
         assert loaded_modules(dispatch_code(argv)) \
             == graphtopo_modules("cli", "core", "io", "physical")
 
+    def test_solve_circuit_loads_no_numpy_ma(self, inputs, tmp_path):
+        # np.setdiff1d and np.unique import numpy.ma (8-9 ms cold) to ask
+        # whether their input is masked
+        argv = ["solve", "circuit", "--graph", str(inputs / "bench8.json"),
+                "--bc", str(inputs / "bc.csv")]
+        code = dispatch_code(argv) + "; assert 'numpy.ma' not in sys.modules"
+        assert "graphtopo.physical" in loaded_modules(code, cwd=tmp_path)
+
     def test_gen_signal_loads_no_physical_and_no_thread_pool(self, inputs, tmp_path):
         argv = ["gen", "signal", "--graph", str(inputs / "bench8.json"),
                 "--mode", "pinned_pair", "--seed", "0", "--p", "3"]

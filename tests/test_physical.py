@@ -239,6 +239,35 @@ class TestMonteCarloHitting:
         with pytest.raises(NumericalError, match="cannot be reached"):
             monte_carlo_hitting(g, 0, 3, walks=1000, seed=0)
 
+    @pytest.mark.parametrize("walks", [0, 1])
+    def test_too_few_walks_raise(self, bench8, walks):
+        with pytest.raises(ValueError, match="walks"):
+            monte_carlo_hitting(bench8, 7, 0, walks=walks, seed=0)
+
+    def test_no_steps_raises(self, bench8):
+        with pytest.raises(ValueError, match="max_steps"):
+            monte_carlo_hitting(bench8, 7, 0, walks=10, seed=0, max_steps=0)
+
+    @pytest.mark.parametrize("start, target", [(5, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_vertex_out_of_range_raises(self, start, target):
+        with pytest.raises(ValueError, match="in \\[0, 3\\)"):
+            monte_carlo_hitting(path_graph(3), start, target, walks=10, seed=0)
+
+    def test_memory_per_walker(self):
+        # blocks of walkers keep each step's temporaries small: measured
+        # 2.96 MB here, 12.0 bytes per walker above a 0.56 MB intercept (a
+        # loop over the whole population needed 9.3 MB, 47 bytes per
+        # walker); the bound allows 15 bytes per walker plus 2 MB
+        import tracemalloc
+        walks = 200_000
+        tracemalloc.start()
+        try:
+            monte_carlo_hitting(path_graph(6), 0, 5, walks=walks, seed=105)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * walks + 2_000_000
+
     def test_isolated_vertex_raises_no_warning(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
