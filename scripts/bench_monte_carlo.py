@@ -15,15 +15,12 @@ must be the same for both checkouts and both passes.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
+
+import sweep
 
 # name, vertices, edge probability (None: a path), walks
 CASES = [
@@ -76,36 +73,11 @@ def worker(src: str, measure: str) -> None:
     print(json.dumps(out))
 
 
-def _checkout(src: Path) -> dict:
-    def git(*args):
-        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, check=True).stdout.strip()
-    return {"git_sha": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "."))}
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", required=True, help="src directory of the baseline checkout")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-    here = Path(__file__).resolve().parents[1] / "src"
-    checkouts = {"baseline": Path(args.baseline).resolve(), "change": here}
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-
-    def spawn(src, measure):
-        proc = subprocess.run([sys.executable, __file__, "--worker", str(src), measure],
-                              env=env, capture_output=True, text=True, check=True)
-        return json.loads(proc.stdout)
-
-    runs = {label: [] for label in checkouts}
-    for r in range(args.rounds):
-        # the checkout that runs first swaps every round
-        for label, src in list(checkouts.items())[::1 if r % 2 == 0 else -1]:
-            runs[label].append(spawn(src, "time"))
-            print(f"round {r + 1} {label} done", file=sys.stderr)
-    peaks = {label: spawn(src, "memory") for label, src in checkouts.items()}
+    args = sweep.parser(__doc__).parse_args(argv)
+    checkouts = sweep.checkouts(args.baseline)
+    runs = sweep.rounds(__file__, checkouts, args.rounds, "time")
+    peaks = {label: sweep.spawn(__file__, src, "memory") for label, src in checkouts.items()}
     rows = []
     for label, src in checkouts.items():
         for name, n, p, walks in CASES:
@@ -114,19 +86,14 @@ def main(argv=None) -> int:
             if len(results) != 1:
                 raise RuntimeError(f"{label} {name} gave different results across rounds")
             rows.append({"kernel": "physical.monte_carlo_hitting", "checkout": label,
-                         **_checkout(src), "case": {"name": name, "n": n, "p": p,
-                                                    "walks": walks},
-                         "median_s": round(statistics.median(seconds), 4),
-                         "min_s": round(min(seconds), 4), "max_s": round(max(seconds), 4),
-                         "rounds": len(seconds),
+                         **sweep.checkout_info(src), "case": {"name": name, "n": n, "p": p,
+                                                              "walks": walks},
+                         **sweep.spread(seconds),
                          "tracemalloc_peak_mb": round(peaks[label][name][0] / 1e6, 2),
                          "result": list(results.pop())})
     same = all(a["result"] == b["result"] for a, b in zip(rows, rows[len(CASES):]))
-    report = {"machine": f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS=1, in process; "
-                         "peaks from a separate tracemalloc pass",
-              "same_results": same, "timings": rows}
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    return 0 if same else 1
+    return sweep.write_report(args.out, "in process; peaks from a separate tracemalloc pass",
+                              same, rows)
 
 
 if __name__ == "__main__":

@@ -27,10 +27,10 @@ _EXPORTS = {
            "read_vector_csv", "write_graph_json", "write_matrix_csv", "write_vector_csv"),
     "lattice": ("Lattice", "SamplingMap", "kron_sum_adjacency", "path_adjacency",
                 "separability_check", "separable_gdft", "subsample"),
-    "learning": ("BetaMatrix", "ObservationMatrix", "PolyFitConfig", "correlation_matrix",
-                 "laplacian_to_weights", "learn_from_sources", "neighborhood_regression",
-                 "polynomial_fit_eigenvalues", "smooth_learn", "symmetrize_geometric",
-                 "weight_mse_db"),
+    "learning": ("BetaMatrix", "ObservationMatrix", "PolyFitConfig", "SmoothFit",
+                 "correlation_matrix", "laplacian_to_weights", "learn_from_sources",
+                 "neighborhood_regression", "polynomial_fit_eigenvalues", "smooth_learn",
+                 "symmetrize_geometric", "weight_mse_db"),
     "metro": ("FlowVector", "betweenness", "closeness_vitality", "fick_population"),
     "physical": ("BoundaryCondition", "PageRankResult", "absorbing_probabilities",
                  "circuit_solve", "commute_time", "effective_resistance", "hitting_times",

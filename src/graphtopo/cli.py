@@ -306,11 +306,13 @@ def _learn_regress(args, x) -> Result:
 def _learn_smooth(args, x) -> Result:
     from .learning import laplacian_to_weights, smooth_learn
     trace: list = []
-    l, _ = smooth_learn(x, args.alpha, args.beta, outer_iters=args.outer_iters,
-                        objective_trace=trace)
+    fit = smooth_learn(x, args.alpha, args.beta, outer_iters=args.outer_iters,
+                       objective_trace=trace)
+    l = fit.laplacian
     return _learned(args, laplacian_to_weights(l), l.l,
-                    {"objective_trace": [float(v) for v in trace]},
-                    {"objective": np.asarray(trace)})
+                    {"objective_trace": [float(v) for v in trace],
+                     "iterations": fit.iterations},
+                    {"objective": np.asarray(trace)}, converged=fit.converged)
 
 
 def _read_polyfit(args):
@@ -626,7 +628,8 @@ COMMANDS = (
     Command("learn", "smooth", "smoothness-regularized topology", _LEARNED + (
         _arg("--alpha", type=float, required=True),
         _arg("--beta", type=float, required=True),
-        _arg("--outer-iters", type=int, default=20),
+        _arg("--outer-iters", type=int, default=20,
+             help="cap on the outer iterations; the run stops earlier at its fixed point"),
     ), _read_obs, _learn_smooth),
     Command("learn", "polyfit", "eigenvalue polynomial fit topology", _LEARNED + (
         _arg("--order", type=int, required=True),

@@ -8,6 +8,7 @@ vertex indices.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -97,33 +98,58 @@ def graph_to_json(g: Graph | DirectedGraph) -> str:
     mask = g.w > 0
     if not isinstance(g, DirectedGraph):
         mask = np.triu(mask, 1)
-    edges = [[int(i), int(j), float(g.w[i, j])] for i, j in np.argwhere(mask)]
+    i, j = np.nonzero(mask)
+    edges = list(zip(i.tolist(), j.tolist(), g.w[i, j].tolist()))
     return json.dumps({"n": g.n, "edges": edges}, indent=None, separators=(",", ":"))
 
 
 _GRAPH_JSON = '{"n": int, "edges": [[i, j, w], ...]}'
+_NUMBERS = {int, float}  # JSON numbers; a JSON true or false is a bool
 
 
 def _weights_from_json(text: str, directed: bool) -> np.ndarray:
+    """Check the edge list as a whole: each entry is a list [i, j, w] of
+    numbers, i and j are integral and in range, and no pair is given two
+    different weights ({i, j} is one pair when undirected). The first entry
+    that fails a check is named in the ValueError."""
     data = json.loads(text)
     try:
-        n = int(data["n"])
+        n = data["n"]
         edges = list(data.get("edges", []))
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         raise ValueError(f"graph JSON must be an object {_GRAPH_JSON}") from None
+    if not (type(n) is int or type(n) is float and n.is_integer()) or n < 0:
+        raise ValueError(f'graph JSON "n" must be a non-negative integer, got {n!r}')
+    n = int(n)
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}):
+        entry = next(e for e in edges if type(e) is not list or len(e) != 3)
+        raise ValueError(f"graph edge {entry!r} is not a list [i, j, w]")
+    flat = list(itertools.chain.from_iterable(edges))
+    if not set(map(type, flat)) <= _NUMBERS:
+        entry = next(e for e in edges if not set(map(type, e)) <= _NUMBERS)
+        raise ValueError(f"graph edge {entry!r} is not [i, j, w] with numbers")
+    i, j, weight = np.array(flat, dtype=float).reshape(-1, 3).T
+    first = np.flatnonzero((i != np.floor(i)) | (j != np.floor(j)))
+    if first.size:
+        raise ValueError(f"graph edge {edges[first[0]]!r}: vertex indices must be integers")
+    first = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+    if first.size:
+        a, b = edges[first[0]][:2]
+        raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    key = i * n + j if directed else np.minimum(i, j) * n + np.maximum(i, j)
+    # a stable sort keeps each pair's entries in file order
+    order = np.argsort(key, kind="stable")
+    key, sorted_w = key[order], weight[order]
+    clash = order[1:][(key[1:] == key[:-1]) & (sorted_w[1:] != sorted_w[:-1])]
+    if clash.size:
+        entry = edges[clash.min()]
+        raise ValueError(f"graph edge {entry!r} gives pair ({entry[0]}, {entry[1]}) "
+                         "a second, different weight")
     w = np.zeros((n, n))
-    for entry in edges:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ValueError(f"graph edge {entry!r} is not a list [i, j, w]")
-        try:
-            i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
-        except (TypeError, ValueError):
-            raise ValueError(f"graph edge {entry!r} is not [i, j, w] with numbers") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        w[i, j] = weight
-        if not directed:
-            w[j, i] = weight
+    w[i, j] = weight
+    if not directed:
+        w[j, i] = weight
     return w
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "correlation_matrix",
     "neighborhood_regression",
     "symmetrize_geometric",
+    "SmoothFit",
     "smooth_learn",
     "polynomial_fit_eigenvalues",
     "learn_from_sources",
@@ -170,27 +171,54 @@ def symmetrize_geometric(b: BetaMatrix, clamp_negative: bool = False) -> Graph:
 
 def _project_laplacian_set(l: np.ndarray, n: int, passes: int = 10) -> np.ndarray:
     # alternating projection onto {symmetric, offdiag <= 0, zero row sums,
-    # trace == n}; the diagonal is rebuilt from the off-diagonal part
+    # trace == n}; the diagonal is rebuilt from the off-diagonal part. Each
+    # pass works in one fresh buffer. The diagonal is 0.0 - rowsum, not
+    # -rowsum, so that an empty row keeps a +0.0 diagonal.
     for _ in range(passes):
-        l = (l + l.T) / 2.0
-        off = np.minimum(l - np.diag(np.diag(l)), 0.0)
-        np.fill_diagonal(off, 0.0)
-        l = off - np.diag(off.sum(axis=1))
+        l = l + l.T
+        l /= 2.0
+        np.minimum(l, 0.0, out=l)
+        np.fill_diagonal(l, 0.0)
+        np.fill_diagonal(l, 0.0 - l.sum(axis=1))
         tr = np.trace(l)
         if tr > 1e-12:
-            l = l * (n / tr)
+            l *= n / tr
     return l
+
+
+@dataclass(frozen=True)
+class SmoothFit:
+    """What `smooth_learn` returns; it unpacks as ``(laplacian, signal)``.
+
+    ``iterations`` counts the outer iterations computed, and ``converged``
+    is True when the alternation stopped at its fixed point rather than at
+    the ``outer_iters`` cap.
+    """
+
+    laplacian: Laplacian
+    signal: ObservationMatrix
+    iterations: int
+    converged: bool
+
+    def __iter__(self):
+        return iter((self.laplacian, self.signal))
 
 
 def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
                  l_step_iters: int = 20,
-                 objective_trace: list | None = None) -> tuple[Laplacian, ObservationMatrix]:
+                 objective_trace: list | None = None) -> SmoothFit:
     """Alternating minimization of ||Y - X||_F^2 / 2 + alpha tr(Y'LY)
     + beta ||L||_F^2 over a valid Laplacian L and a smoothed signal Y.
 
     The L-step runs projected gradient descent on the Laplacian constraint
     set (trace N, zero row sums, non-positive off-diagonals); the Y-step is
     the closed form Y = (I + alpha L)^{-1} X.
+
+    ``outer_iters`` is a cap. From the second outer iteration on, an L-step
+    that accepts no candidate leaves L equal to the L that produced the
+    current Y, so every later iteration would repeat it: the run stops
+    there, at its fixed point. ``objective_trace``, if given, receives one
+    objective value per outer iteration computed.
     """
     if alpha < 0 or beta <= 0:
         raise ValueError("alpha must be >= 0 and beta > 0")
@@ -204,10 +232,12 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
     def l_objective(mat, yyt):
         return alpha * np.sum(yyt * mat) + beta * np.sum(mat ** 2)
 
-    for _ in range(outer_iters):
+    converged = False
+    for iterations in range(1, outer_iters + 1):
         yyt = y @ y.T
         current = l_objective(l, yyt)
         step = 1.0 / (4.0 * beta)
+        moved = False
         for _ in range(l_step_iters):
             grad = alpha * yyt + 2.0 * beta * l
             # accept a projected step only if it lowers the L objective,
@@ -222,13 +252,21 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
                 step /= 2.0
             if not improved:
                 break
+            moved = True
+        # the first Y is X, not a solve, so only later iterations can stop
+        if iterations > 1 and not moved:
+            converged = True
+            if objective_trace is not None:
+                objective_trace.append(objective_trace[-1])
+            break
         y = np.linalg.solve(np.eye(n) + alpha * l, arr)
         if objective_trace is not None:
             obj = (0.5 * np.sum((y - arr) ** 2)
                    + alpha * np.sum((l @ y) * y)
                    + beta * np.sum(l ** 2))
             objective_trace.append(float(obj))
-    return Laplacian(l, kind="combinatorial", check=False), ObservationMatrix(y)
+    return SmoothFit(Laplacian(l, kind="combinatorial", check=False), ObservationMatrix(y),
+                     iterations, converged)
 
 
 def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Laplacian]:

@@ -114,7 +114,12 @@ class TestExitCodes:
         '{"n": 3, "edges": [[0, 1, null]]}',
         '[[0, 1, 1.0]]',
         '{"edges": [[0, 1, 1.0]]}',
-    ], ids=["no-weight", "null-weight", "top-level-list", "missing-n"])
+        '{"n": 3, "edges": [[0, 1.7, 1.0]]}',
+        '{"n": 3.9, "edges": [[0, 1, 1.0]]}',
+        '{"n": 3, "edges": [[0, true, 1.0]]}',
+        '{"n": 3, "edges": [[0, 1, 1.0], [1, 0, 2.0]]}',
+    ], ids=["no-weight", "null-weight", "top-level-list", "missing-n", "fractional-index",
+            "fractional-n", "boolean-index", "repeated-pair"])
     def test_malformed_graph_json_exits_one(self, text, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g.json").write_text(text)
@@ -180,6 +185,23 @@ class TestRegressReport:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is True
         assert report["metrics"]["unconverged_rows"] == []
+
+
+class TestSmoothReport:
+    def test_iterations_and_convergence(self, tmp_path, monkeypatch, inputs):
+        from graphtopo.learning import smooth_learn
+        monkeypatch.chdir(tmp_path)
+        trace: list = []
+        fit = smooth_learn(io.read_matrix_csv(inputs / "obs.csv"), 1.0, 0.5,
+                           objective_trace=trace)
+        assert fit.converged and fit.iterations < 20
+        for outer_iters, converged in ((20, True), (1, False)):
+            assert run("learn", "smooth", "--obs", inputs / "obs.csv", "--alpha", "1",
+                       "--beta", "0.5", "--outer-iters", outer_iters) == 0
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["converged"] is converged
+            assert report["metrics"]["iterations"] == min(fit.iterations, outer_iters)
+            assert report["metrics"]["objective_trace"] == trace[:outer_iters]
 
 
 class TestGlassoReport:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,53 @@ def test_undirected_json_lists_each_edge_once():
 def test_json_range_check():
     with pytest.raises(ValueError, match="out of range"):
         graph_from_json('{"n":2,"edges":[[0,5,1.0]]}')
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"n":3,"edges":[[0,1.7,1.0]]}', "graph edge [0, 1.7, 1.0]: vertex indices must be"),
+    ('{"n":3,"edges":[[0,1,1.0],[2.5,1,1.0]]}', "graph edge [2.5, 1, 1.0]: vertex"),
+    ('{"n":3.9,"edges":[[0,1,1.0]]}', 'graph JSON "n" must be a non-negative integer, got 3.9'),
+    ('{"n":true,"edges":[]}', 'graph JSON "n" must be a non-negative integer, got True'),
+    ('{"n":3,"edges":[[0,true,1.0]]}', "graph edge [0, True, 1.0] is not [i, j, w] with"),
+    ('{"n":3,"edges":[[0,1,false]]}', "graph edge [0, 1, False] is not [i, j, w] with"),
+    ('{"n":3,"edges":[[0,1,1.0],[1,2,1.0],[1,0,2.0]]}', "graph edge [1, 0, 2.0] gives pair"),
+    ('{"n":3,"edges":[[0,1,1.0],[0,1,2.0],[0,1,1.0]]}', "graph edge [0, 1, 2.0] gives pair"),
+], ids=["fractional-index", "second-entry", "fractional-n", "boolean-n", "boolean-index",
+        "boolean-weight", "repeated-pair", "repeated-then-restored"])
+def test_graph_json_refuses_malformed_numbers(text, message):
+    with pytest.raises(ValueError) as err:
+        graph_from_json(text)
+    assert str(err.value).startswith(message)
+
+
+def test_graph_json_accepts_integral_floats_and_equal_repeats():
+    g = graph_from_json('{"n":3.0,"edges":[[0,1.0,2.0],[1,0,2.0],[2.0,1,1]]}')
+    assert g.n == 3
+    np.testing.assert_array_equal(g.w, [[0, 2, 0], [2, 0, 1], [0, 1, 0]])
+
+
+def test_directed_json_pairs_are_ordered():
+    g = directed_graph_from_json('{"n":2,"edges":[[0,1,1.0],[1,0,2.0]]}')
+    np.testing.assert_array_equal(g.w, [[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match=r"graph edge \[0, 1, 3.0\] gives pair \(0, 1\)"):
+        directed_graph_from_json('{"n":2,"edges":[[0,1,1.0],[0,1,3.0]]}')
+
+
+def _elementwise_graph_json(g) -> str:
+    # one int()/float() call per edge: the bulk writer must match its bytes
+    mask = g.w > 0
+    if not isinstance(g, DirectedGraph):
+        mask = np.triu(mask, 1)
+    edges = [[int(i), int(j), float(g.w[i, j])] for i, j in np.argwhere(mask)]
+    return json.dumps({"n": g.n, "edges": edges}, indent=None, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_to_json_bytes_match_elementwise_writer(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    w = np.where(rng.random((n, n)) < 0.3, rng.lognormal(0.0, 3.0, (n, n)), 0.0)
+    np.fill_diagonal(w, 0.0)
+    for g in (Graph.from_weights(np.triu(w, 1) + np.triu(w, 1).T),
+              DirectedGraph.from_weights(w)):
+        assert graph_to_json(g) == _elementwise_graph_json(g)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphtopo import learning
 from graphtopo.core import Graph, Laplacian, NumericalError, eig_sym, laplacian
 from graphtopo.learning import (
     BetaMatrix,
@@ -15,6 +16,7 @@ from graphtopo.learning import (
     symmetrize_geometric,
     weight_mse_db,
 )
+from graphtopo.simulate import SimSpec, simulate
 from graphtopo.solvers import LassoConfig, lasso_gram
 
 from conftest import (
@@ -218,6 +220,149 @@ class TestSmoothLearn:
             smooth_learn(x, alpha=1.0, beta=0.0)
         with pytest.raises(ValueError):
             smooth_learn(x, alpha=-0.1, beta=1.0)
+
+
+def _reference_projection(l, n, passes=10):
+    # the whole-array projection pass that the in-place one must match
+    for _ in range(passes):
+        l = (l + l.T) / 2.0
+        off = np.minimum(l - np.diag(np.diag(l)), 0.0)
+        np.fill_diagonal(off, 0.0)
+        l = off - np.diag(off.sum(axis=1))
+        tr = np.trace(l)
+        if tr > 1e-12:
+            l = l * (n / tr)
+    return l
+
+
+def _reference_smooth_learn(arr, alpha, beta, outer_iters=20, l_step_iters=20):
+    """The alternation run to its cap: every outer iteration recomputes Y
+    and appends its objective, whether or not the L-step moved."""
+    n = arr.shape[0]
+    y = arr.copy()
+    l = _reference_projection(-(alpha / (2.0 * beta)) * (y @ y.T), n)
+    trace = []
+
+    def l_objective(mat, yyt):
+        return alpha * np.sum(yyt * mat) + beta * np.sum(mat ** 2)
+
+    for _ in range(outer_iters):
+        yyt = y @ y.T
+        current = l_objective(l, yyt)
+        step = 1.0 / (4.0 * beta)
+        for _ in range(l_step_iters):
+            grad = alpha * yyt + 2.0 * beta * l
+            improved = False
+            for _ in range(20):
+                cand = _reference_projection(l - step * grad, n)
+                val = l_objective(cand, yyt)
+                if val <= current:
+                    l, current, improved = cand, val, True
+                    break
+                step /= 2.0
+            if not improved:
+                break
+        y = np.linalg.solve(np.eye(n) + alpha * l, arr)
+        trace.append(float(0.5 * np.sum((y - arr) ** 2)
+                           + alpha * np.sum((l @ y) * y)
+                           + beta * np.sum(l ** 2)))
+    return l, y, trace
+
+
+def _smooth_signals(seed, mode, p=200):
+    if mode == "normal":
+        return np.random.default_rng(seed).normal(size=(5, 8))
+    g = random_connected_graph(np.random.default_rng(seed), 25, p_edge=0.2,
+                               w_low=0.5, w_high=1.5)
+    params = {"h": (0.3, 0.2, 0.5)} if mode == "diffusion" else {}
+    return simulate(g, SimSpec(mode, seed=1, p=p, params=params)).x
+
+
+class TestSmoothLearnFixedPoint:
+    # (seed, signal mode, alpha, beta, outer iterations to the fixed point);
+    # 20 is the cap, which that case reaches with L still moving. The
+    # L-step of the "normal" case accepts nothing from the start.
+    CASES = [
+        (1, "diffusion", 1.0, 1.0, 8),
+        (1, "diffusion", 2.0, 10.0, 10),
+        (2, "diffusion", 0.5, 0.2, 7),
+        (0, "diffusion", 0.5, 0.2, 4),
+        (0, "sources", 2.0, 10.0, 3),
+        (2, "sources", 0.5, 0.2, 20),
+        (0, "sources", 1.0, 1.0, 2),
+        (1, "sources", 0.5, 0.2, 2),
+        (3, "sources", 1.0, 1.0, 2),
+        (3, "normal", 0.5, 0.2, 2),
+    ]
+
+    @pytest.mark.parametrize("seed,mode,alpha,beta,iterations", CASES)
+    def test_matches_the_run_to_the_cap(self, seed, mode, alpha, beta, iterations):
+        x = _smooth_signals(seed, mode)
+        l_ref, y_ref, trace_ref = _reference_smooth_learn(x, alpha, beta)
+        trace: list = []
+        fit = smooth_learn(x, alpha, beta, objective_trace=trace)
+        np.testing.assert_array_equal(fit.laplacian.l, l_ref, strict=True)
+        np.testing.assert_array_equal(fit.signal.x, y_ref, strict=True)
+        assert (fit.iterations, fit.converged) == (iterations, iterations < 20)
+        assert trace == trace_ref[:iterations]
+        # the run to the cap only repeats the value it stopped at
+        assert trace_ref[iterations:] == [trace[-1]] * (20 - iterations)
+
+    def test_stalled_input_projects_at_most_41_times(self, monkeypatch):
+        # one projection to start, then each L-step rejects all 20 halvings;
+        # the run stops after the second, where the run to the cap makes
+        # 20 L-steps and 401 projections
+        calls = []
+        project = learning._project_laplacian_set
+
+        def counted(l, n, passes=10):
+            calls.append(n)
+            return project(l, n, passes)
+
+        monkeypatch.setattr(learning, "_project_laplacian_set", counted)
+        fit = smooth_learn(_smooth_signals(3, "normal"), 0.5, 0.2)
+        assert (fit.iterations, fit.converged) == (2, True)
+        assert len(calls) == 1 + 2 * 20
+
+    def test_cap_is_not_convergence(self):
+        fit = smooth_learn(_smooth_signals(2, "sources"), 0.5, 0.2, outer_iters=3)
+        assert (fit.iterations, fit.converged) == (3, False)
+        # the first iteration's Y is X, so one iteration never converges
+        fit = smooth_learn(_smooth_signals(0, "sources"), 1.0, 1.0, outer_iters=1)
+        assert (fit.iterations, fit.converged) == (1, False)
+
+    def test_fixed_point_at_the_cap_converges(self):
+        fit = smooth_learn(_smooth_signals(0, "sources"), 1.0, 1.0, outer_iters=2)
+        assert (fit.iterations, fit.converged) == (2, True)
+
+
+class TestProjectLaplacianSet:
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 6))
+        zero_row = a.copy()
+        zero_row[2, :] = zero_row[:, 2] = 0.0
+        sparse = np.where(rng.random((30, 30)) < 0.5, 0.0, rng.normal(size=(30, 30)))
+        signed_zeros = np.where(rng.random((5, 5)) < 0.5, -0.0, 0.0)
+        return [a, zero_row, -np.abs(a), -np.abs(rng.normal(size=(30, 30))), sparse,
+                signed_zeros, np.zeros((4, 4)), np.array([[3.0]]), np.array([[-2.0]])]
+
+    def test_bitwise_equal_to_whole_array_pass(self):
+        for m in self.matrices():
+            n = m.shape[0]
+            for passes in (1, 10):
+                got = learning._project_laplacian_set(m, n, passes)
+                want = _reference_projection(m, n, passes)
+                np.testing.assert_array_equal(got, want, strict=True)
+                # equal bits, so +0.0 and -0.0 also sit in the same places
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_input_left_unchanged(self):
+        m = np.random.default_rng(8).normal(size=(5, 5))
+        before = m.copy()
+        learning._project_laplacian_set(m, 5)
+        np.testing.assert_array_equal(m, before)
 
 
 class TestPolynomialFitEigenvalues:
