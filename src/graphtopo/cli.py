@@ -386,7 +386,6 @@ def _read_commute(args):
 def _solve_commute(args, g) -> Result:
     from .physical import effective_resistance
     r = effective_resistance(g, args.m, args.n)
-    # commute_time's own expression, without a second pseudo-inverse
     ct = float(g.degrees().sum()) * r
     return Result({"resistance_commute": (args.out, np.array([r, ct]))},
                   {"effective_resistance": r, "commute_time": ct})

@@ -50,7 +50,7 @@ def atomic_write_text(path, text: str) -> None:
 
 def format_csv(m) -> str:
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    lines = [",".join(repr(float(v)) for v in row) for row in m]
+    lines = [",".join(map(repr, row)) for row in m.tolist()]
     return "\n".join(lines) + "\n"
 
 

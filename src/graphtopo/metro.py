@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, Laplacian, NumericalError, connected_components, pseudo_inverse
+from .core import Graph, Laplacian, NumericalError, connected_components
 
 __all__ = ["FlowVector", "betweenness", "closeness_vitality", "fick_population"]
 
@@ -173,10 +173,17 @@ def closeness_vitality(g: Graph) -> np.ndarray:
 
 
 def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
-    """Population profile implied by diffusion flows: -(1/k) L^+ q,
-    shifted so the smallest entry is zero."""
+    """Population profile implied by diffusion flows: -(1/k) L^+ q, shifted
+    so the smallest entry is zero.
+
+    q is centred first: L^+ drops its mean on a connected graph, and the
+    centred flows balance, so the grounded solve L x = q - mean(q) through
+    circuit_solve, with vertex 0 pinned to 0, gives L^+ q up to a constant
+    that the shift removes. l must be the combinatorial Laplacian D - W."""
     if k <= 0:
         raise ValueError("diffusivity k must be positive")
+    if l.kind != "combinatorial":
+        raise ValueError("population estimate needs the combinatorial laplacian")
     if isinstance(q, FlowVector):
         q = q.q
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -186,5 +193,7 @@ def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
     np.fill_diagonal(w, 0.0)
     if len(connected_components(w)) > 1:
         raise NumericalError("population estimate needs a connected graph")
-    phi = -pseudo_inverse(l.l) @ q / k
+    # imported here so that `metro centrality` does not load physical
+    from .physical import BoundaryCondition, circuit_solve
+    phi = -circuit_solve(l, BoundaryCondition({0: 0.0}), q - q.mean()) / k
     return phi - phi.min()

@@ -9,7 +9,7 @@ from typing import Literal, Mapping
 import numpy as np
 
 from .core import (DirectedGraph, Graph, Laplacian, NumericalError, SourceVector,
-                   connected_components, laplacian, pseudo_inverse)
+                   connected_components, laplacian)
 
 __all__ = [
     "BoundaryCondition",
@@ -145,19 +145,14 @@ def absorbing_probabilities(g: Graph, bc: BoundaryCondition) -> np.ndarray:
 
 
 def hitting_times(g: Graph, target: int) -> np.ndarray:
-    """Expected steps for a random walker to first reach the target."""
+    """Expected steps for a random walker to first reach the target: the
+    grounded solve L h = d through circuit_solve, with the target pinned
+    to 0 and each vertex injecting its degree."""
     if len(connected_components(g.w)) > 1:
         raise NumericalError("hitting times are infinite on a disconnected graph")
-    n = g.n
-    if not 0 <= target < n:
+    if not 0 <= target < g.n:
         raise ValueError("target out of range")
-    mat = laplacian(g).l
-    keep = np.delete(np.arange(n), target)
-    reduced = mat[np.ix_(keep, keep)]
-    d = g.degrees()[keep]
-    h = np.zeros(n)
-    h[keep] = np.linalg.solve(reduced, d)
-    return h
+    return circuit_solve(laplacian(g), BoundaryCondition({target: 0.0}), g.degrees())
 
 
 # cells of the Monte Carlo guide table (int32, so 4 MB at most), and the
@@ -287,15 +282,18 @@ def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
 
 
 def effective_resistance(g: Graph, m: int, n: int) -> float:
-    """Two-point resistance (e_m - e_n)' L^+ (e_m - e_n)."""
+    """Two-point resistance (e_m - e_n)' L^+ (e_m - e_n): the potential at m
+    when a unit current enters at m and leaves at n, with n grounded at 0,
+    solved through circuit_solve."""
+    if not (0 <= m < g.n and 0 <= n < g.n):
+        raise ValueError(f"m and n must be vertices in [0, {g.n})")
     if m == n:
         return 0.0
     if len(connected_components(g.w)) > 1:
         raise NumericalError("effective resistance is infinite across components")
-    lp = pseudo_inverse(laplacian(g).l)
-    e = np.zeros(g.n)
-    e[m], e[n] = 1.0, -1.0
-    return float(e @ lp @ e)
+    current = np.zeros(g.n)
+    current[m], current[n] = 1.0, -1.0
+    return float(circuit_solve(laplacian(g), BoundaryCondition({n: 0.0}), current)[m])
 
 
 def commute_time(g: Graph, m: int, n: int) -> float:
@@ -304,35 +302,17 @@ def commute_time(g: Graph, m: int, n: int) -> float:
     return float(g.degrees().sum()) * effective_resistance(g, m, n)
 
 
-def label_propagation(g: Graph, labels: BoundaryCondition,
-                      max_iter: int = 10_000, tol: float = 1e-10) -> np.ndarray:
-    """Diffuse known labels through the row-normalized weight matrix,
-    re-pinning the labeled vertices each sweep; NumericalError if the
-    sweeps still move by tol or more after max_iter of them."""
-    w = np.asarray(g.w, dtype=float)
-    n = w.shape[0]
-    labeled = labels.indices(n)
-    values = labels.values(n)
-    labeled_set = set(labeled.tolist())
-    for comp in connected_components(w):
+def label_propagation(g: Graph, labels: BoundaryCondition) -> np.ndarray:
+    """Harmonic spread of known labels (Zhu, Ghahramani & Lafferty 2003):
+    each unlabeled value is the weighted mean of its neighbours, the fixed
+    point of sweeps through the row-normalized weight matrix, solved
+    exactly as the grounded system L x = 0 through circuit_solve.
+    ValueError if a component holds no label."""
+    labeled_set = set(labels.indices(g.n).tolist())
+    for comp in connected_components(g.w):
         if not labeled_set.intersection(comp):
             raise ValueError(f"component containing vertex {comp[0]} has no label")
-
-    x = np.full(n, values.mean())
-    x[labeled] = values
-    if len(labeled) == n:
-        return x
-    deg = w.sum(axis=1)
-    s = np.zeros_like(w)
-    nz = deg > 0
-    s[nz] = w[nz] / deg[nz, None]
-    for _ in range(max_iter):
-        x_new = s @ x
-        x_new[labeled] = values
-        if np.max(np.abs(x_new - x)) < tol:
-            return x_new
-        x = x_new
-    raise NumericalError(f"label propagation did not converge in {max_iter} sweeps")
+    return circuit_solve(laplacian(g), labels)
 
 
 def sparse_source_denoise(l: Laplacian, y, k: int, reference: int) -> np.ndarray:

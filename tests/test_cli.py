@@ -324,6 +324,20 @@ class TestCircuitCommand:
                                    atol=1e-12)
 
 
+class TestPropagateCommand:
+    def test_long_path_matches_absorb(self, tmp_path, monkeypatch):
+        # a 100-vertex path pinned at both ends: the labels are the
+        # absorbing probabilities, the same grounded solve
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "lattice", "--dims", "100", "--out", "path.json") == 0
+        (tmp_path / "pins.csv").write_text("0,0\n99,1\n")
+        assert run("solve", "propagate", "--graph", "path.json", "--bc", "pins.csv",
+                   "--out", "labels.csv") == 0
+        assert run("solve", "absorb", "--graph", "path.json", "--bc", "pins.csv",
+                   "--out", "absorb.csv") == 0
+        assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "absorb.csv").read_bytes()
+
+
 class TestPlotData:
     def test_tidy_format(self, tmp_path, monkeypatch, inputs):
         monkeypatch.chdir(tmp_path)

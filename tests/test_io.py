@@ -145,3 +145,20 @@ def test_graph_to_json_bytes_match_elementwise_writer(seed):
     for g in (Graph.from_weights(np.triu(w, 1) + np.triu(w, 1).T),
               DirectedGraph.from_weights(w)):
         assert graph_to_json(g) == _elementwise_graph_json(g)
+
+
+def _elementwise_csv(m) -> str:
+    # one float() call per entry: the bulk formatter must match its bytes
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
+
+
+def test_format_csv_bytes_match_elementwise_formatter():
+    edge = np.array([[-0.0, 0.0, 5e-324, -5e-324],
+                     [1e308, -1e308, 3.0, -7.0],
+                     [1e16, 2.0 ** 60, 0.1, 1 / 3]])
+    rng = np.random.default_rng(5)
+    for m in (edge, edge[0], rng.lognormal(0.0, 30.0, (7, 9)) * rng.choice([-1, 1], (7, 9)),
+              rng.integers(-50, 50, (4, 6)), np.array(2.5)):
+        assert format_csv(m) == _elementwise_csv(m)
+    assert format_csv(edge[:1]) == "-0.0,0.0,5e-324,-5e-324\n"

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from graphtopo import metro
-from graphtopo.core import Graph, NumericalError, laplacian
+from graphtopo.core import Graph, NumericalError, laplacian, pseudo_inverse
 from graphtopo.metro import FlowVector, betweenness, closeness_vitality, fick_population
 
 from conftest import random_connected_graph
@@ -319,6 +319,34 @@ class TestFickPopulation:
         lap = laplacian(Graph.from_weights(w), allow_isolated=True)
         with pytest.raises(NumericalError):
             fick_population(lap, np.zeros(4), k=1.0)
+
+
+def _pinv_population(l, q, k):
+    """fick_population through the full pseudo-inverse."""
+    phi = -pseudo_inverse(l.l) @ q / k
+    return phi - phi.min()
+
+
+class TestFickPopulationOracle:
+    def test_matches_pseudo_inverse(self):
+        # 20 seeded random connected graphs of 4 to 40 vertices, with
+        # balanced flows and with flows of mean 3. The shift to a zero
+        # minimum cancels, so the tolerance is relative to the largest entry.
+        rng = np.random.default_rng(2020)
+        for _ in range(20):
+            n = int(rng.integers(4, 41))
+            lap = laplacian(random_connected_graph(rng, n,
+                                                   p_edge=float(rng.uniform(0.1, 0.6))))
+            balanced = rng.normal(size=n)
+            balanced -= balanced.mean()
+            for q in (balanced, rng.normal(size=n) + 3.0):
+                old = _pinv_population(lap, q, 1.7)
+                np.testing.assert_allclose(fick_population(lap, q, 1.7), old,
+                                           rtol=1e-12, atol=1e-12 * np.max(np.abs(old)))
+
+    def test_other_laplacian_kinds_are_refused(self, bench8):
+        with pytest.raises(ValueError, match="combinatorial"):
+            fick_population(laplacian(bench8, kind="normalized"), np.zeros(8), k=1.0)
 
 
 def terminus_graph(rng, n_core=45, n_lines=5, line_len=3):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphtopo.core import DirectedGraph, Graph, NumericalError, laplacian
+from graphtopo.core import DirectedGraph, Graph, NumericalError, laplacian, pseudo_inverse
 from graphtopo.physical import (
     BoundaryCondition,
     absorbing_probabilities,
@@ -429,6 +429,60 @@ class TestResistanceAndCommute:
         with pytest.raises(NumericalError):
             effective_resistance(Graph.from_weights(w), 0, 2)
 
+    @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1), (8, 0), (0, 8), (8, 8)])
+    def test_vertex_out_of_range(self, bench8, m, n):
+        # a negative index would otherwise read another vertex's potential
+        with pytest.raises(ValueError, match="vertices"):
+            effective_resistance(bench8, m, n)
+        with pytest.raises(ValueError, match="vertices"):
+            commute_time(bench8, m, n)
+
+
+def _pinv_hitting_times(g, target):
+    """hitting_times as its own reduced solve, before it called circuit_solve."""
+    n = g.n
+    mat = laplacian(g).l
+    keep = np.delete(np.arange(n), target)
+    reduced = mat[np.ix_(keep, keep)]
+    d = g.degrees()[keep]
+    h = np.zeros(n)
+    h[keep] = np.linalg.solve(reduced, d)
+    return h
+
+
+def _pinv_resistance(g, m, n):
+    """effective_resistance through the full pseudo-inverse."""
+    lp = pseudo_inverse(laplacian(g).l)
+    e = np.zeros(g.n)
+    e[m], e[n] = 1.0, -1.0
+    return float(e @ lp @ e)
+
+
+def _grounded_cases():
+    rng = np.random.default_rng(2020)
+    for _ in range(20):
+        n = int(rng.integers(4, 41))
+        yield random_connected_graph(rng, n, p_edge=float(rng.uniform(0.1, 0.6)))
+
+
+class TestGroundedSolveOracle:
+    """The grounded solves against the formulas they replace, on 20 seeded
+    random connected graphs of 4 to 40 vertices."""
+
+    def test_hitting_times_bit_identical(self):
+        for g in _grounded_cases():
+            for target in range(g.n):
+                np.testing.assert_array_equal(hitting_times(g, target),
+                                              _pinv_hitting_times(g, target))
+
+    def test_resistance_matches_pseudo_inverse(self):
+        for g in _grounded_cases():
+            for m in range(g.n):
+                for n in range(g.n):
+                    if m != n:
+                        assert effective_resistance(g, m, n) == pytest.approx(
+                            _pinv_resistance(g, m, n), rel=1e-12, abs=0)
+
 
 class TestLabelPropagation:
     def test_all_labeled_returns_labels(self, bench8):
@@ -470,11 +524,10 @@ class TestLabelPropagation:
         with pytest.raises(ValueError, match="component"):
             label_propagation(Graph.from_weights(w), BoundaryCondition({0: 1.0}))
 
-    def test_sweep_cap_raises(self):
-        # the free end starts at the label mean 0.5 and the first sweep moves it to 1
-        with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
-            label_propagation(path_graph(3), BoundaryCondition({0: 0.0, 1: 1.0}),
-                              max_iter=1)
+    def test_long_path_is_linear(self):
+        # the harmonic labels on a unit path are linear in the position
+        x = label_propagation(path_graph(100), BoundaryCondition({0: 0.0, 99: 1.0}))
+        np.testing.assert_allclose(x, np.linspace(0.0, 1.0, 100), rtol=0, atol=1e-12)
 
 
 class TestSparseSourceDenoise:

@@ -8,7 +8,9 @@ of the 64 edges swapped.
 
 import numpy as np
 
-from graphtopo.learning import PolyFitConfig, correlation_matrix, polynomial_fit_eigenvalues
+from graphtopo.core import laplacian, pseudo_inverse
+from graphtopo.learning import (PolyFitConfig, correlation_matrix, learn_from_sources,
+                                neighborhood_regression, polynomial_fit_eigenvalues)
 from graphtopo.simulate import SimSpec, simulate
 from graphtopo.solvers import GlassoConfig, glasso
 
@@ -57,4 +59,23 @@ def test_polyfit_recovers_diffusion_graph():
     g = graph30()
     _, l = polynomial_fit_eigenvalues(correlation_matrix(diffusion_signals(g)),
                                       PolyFitConfig(m=2))
+    assert top_k_edge_f1(-l.l, g.w) >= 1.0 - 0.05
+
+
+def test_regress_recovers_diffusion_graph():
+    # Diffusion signals are smooth, so a vertex is regressed on its
+    # neighbours with negative weight. Measured: -(B + B') 0.922 (59 of 64
+    # edges), with 10 of the 30 row lassos at max_iter.
+    g = graph30()
+    b = neighborhood_regression(diffusion_signals(g), rho=0.05).b
+    assert top_k_edge_f1(-(b + b.T), g.w) >= 0.922 - 0.05
+
+
+def test_dense_sources_recover_graph():
+    # x = L^+ j with j a column-centred Gaussian; p = 60 >= n - 1 takes the
+    # pseudo-inverse branch. Measured: -L 1.000 (64 of 64 edges).
+    g = graph30()
+    j = np.random.default_rng(3).normal(size=(30, 60))
+    j -= j.mean(axis=0)
+    l = learn_from_sources(pseudo_inverse(laplacian(g).l) @ j, j)
     assert top_k_edge_f1(-l.l, g.w) >= 1.0 - 0.05
