@@ -193,7 +193,8 @@ def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
     np.fill_diagonal(w, 0.0)
     if len(connected_components(w)) > 1:
         raise NumericalError("population estimate needs a connected graph")
-    # imported here so that `metro centrality` does not load physical
+    # each command loads only the modules it runs (cli's lazy loading, see
+    # test_metro_centrality_loads_only_metro), so physical is imported here
     from .physical import BoundaryCondition, circuit_solve
     phi = -circuit_solve(l, BoundaryCondition({0: 0.0}), q - q.mean()) / k
     return phi - phi.min()

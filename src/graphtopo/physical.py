@@ -66,7 +66,8 @@ def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarr
     """Potentials on a graph with pinned vertices and injected currents.
 
     Fixed rows and columns move to the right-hand side; the reduced system
-    solves (L x)_n = i_n on the free vertices.
+    solves (L x)_n = i_n on the free vertices. NumericalError if a
+    component holds no fixed vertex and so leaves the system singular.
     """
     mat = np.asarray(l.l, dtype=float)
     n = mat.shape[0]
@@ -86,19 +87,27 @@ def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarr
     free = np.delete(np.arange(n), fixed_idx)
     if free.size == 0:
         return x
+    # a component with no fixed vertex is singular, unless the rows of a
+    # generalized Laplacian carry an excess there. This is read off the
+    # structure: rounding can leave a singular solve a small residual.
+    fixed = set(fixed_idx.tolist())
+    excess_tol = 1e-8 * max(1.0, float(np.max(np.abs(mat))))
+    for comp in connected_components(np.abs(mat)):
+        if fixed.isdisjoint(comp) and (l.kind != "generalized"
+                                       or mat[comp].sum() <= excess_tol):
+            raise NumericalError("reduced system is singular; the component "
+                                 f"containing vertex {comp[0]} has no fixed vertex")
     a = mat[np.ix_(free, free)]
     rhs = i_vec[free] - mat[np.ix_(free, fixed_idx)] @ fixed_val
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "reduced system is singular; a component has no fixed vertex") from exc
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+        raise NumericalError("reduced system is numerically singular") from exc
+    # the backward error, against ||a|| ||sol||: across a weak bridge the
+    # potentials, and the rounding in a @ sol, grow far beyond rhs
     residual = float(np.max(np.abs(a @ sol - rhs)))
-    if residual > 1e-8 * scale:
-        raise NumericalError(
-            f"reduced solve residual {residual:.3e} exceeds tolerance; "
-            "a component may have no fixed vertex")
+    if not residual <= 1e-8 * max(1.0, float(np.abs(a).sum(axis=1).max() * np.max(np.abs(sol)))):
+        raise NumericalError(f"reduced solve residual {residual:.3e} exceeds tolerance")
     x[free] = sol
     return x
 

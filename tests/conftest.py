@@ -115,6 +115,17 @@ def two_block_graph(rng: np.random.Generator, n: int) -> Graph:
     return Graph.from_weights(w)
 
 
+def barbell_graph(k: int, bridge: float) -> Graph:
+    """Two unit-weight k-cliques joined by one edge of weight `bridge`
+    between vertices k - 1 and k. The effective resistance from vertex 0 to
+    vertex 2k - 1 is 2/k inside each clique plus 1/bridge across."""
+    w = np.zeros((2 * k, 2 * k))
+    w[:k, :k] = w[k:, k:] = 1.0
+    np.fill_diagonal(w, 0.0)
+    w[k - 1, k] = w[k, k - 1] = bridge
+    return Graph.from_weights(w)
+
+
 def _is_connected(w: np.ndarray) -> bool:
     n = w.shape[0]
     seen = np.zeros(n, dtype=bool)

@@ -11,7 +11,7 @@ from graphtopo import metro
 from graphtopo.core import Graph, NumericalError, laplacian, pseudo_inverse
 from graphtopo.metro import FlowVector, betweenness, closeness_vitality, fick_population
 
-from conftest import random_connected_graph
+from conftest import barbell_graph, random_connected_graph
 
 
 def path_graph(n):
@@ -343,6 +343,21 @@ class TestFickPopulationOracle:
                 old = _pinv_population(lap, q, 1.7)
                 np.testing.assert_allclose(fick_population(lap, q, 1.7), old,
                                            rtol=1e-12, atol=1e-12 * np.max(np.abs(old)))
+
+    @pytest.mark.parametrize("bridge", [1e-5, 1e-7])
+    def test_weak_bridge(self, bridge):
+        # a unit flow from vertex 0 to vertex 99 of a barbell: the population
+        # rises by the effective resistance 1/bridge + 0.08 between them
+        lap = laplacian(barbell_graph(50, bridge))
+        q = np.zeros(100)
+        q[0], q[99] = 1.0, -1.0
+        p = fick_population(lap, q, 1.0)
+        assert p[0] == 0.0
+        assert p[99] == pytest.approx(1.0 / bridge + 0.08, rel=1e-12 / bridge, abs=0)
+        if bridge == 1e-5:
+            # the pseudo-inverse keeps lambda2 here, and errs by about 1.6e-8
+            np.testing.assert_allclose(p, _pinv_population(lap, q, 1.0), rtol=0,
+                                       atol=1e-7 * p.max())
 
     def test_other_laplacian_kinds_are_refused(self, bench8):
         with pytest.raises(ValueError, match="combinatorial"):

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from graphtopo.core import DirectedGraph, Graph, NumericalError, laplacian, pseudo_inverse
+from graphtopo.core import (DirectedGraph, Graph, Laplacian, NumericalError, laplacian,
+                            pseudo_inverse)
 from graphtopo.physical import (
     BoundaryCondition,
     absorbing_probabilities,
@@ -21,7 +22,7 @@ from graphtopo.physical import (
     walk_steady_state,
 )
 
-from conftest import random_connected_graph
+from conftest import barbell_graph, random_connected_graph
 
 PAGES_SCORES = np.array([1.33, 1.52, 2.18, 0.79, 0.55, 0.18, 0.48, 0.97])
 
@@ -89,6 +90,27 @@ class TestCircuitSolve:
         g = Graph.from_weights(w)
         with pytest.raises(NumericalError):
             circuit_solve(laplacian(g), BoundaryCondition({0: 1.0}))
+
+    def test_unpinned_component_raises_where_rounding_hides_it(self):
+        # with uneven weights the unpinned block is singular only up to
+        # rounding: LAPACK mostly factors it and the residual stays small
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            w = np.zeros((12, 12))
+            w[:6, :6] = random_connected_graph(rng, 6).w
+            w[6:, 6:] = random_connected_graph(rng, 6).w
+            with pytest.raises(NumericalError, match="vertex 6 has no fixed vertex"):
+                circuit_solve(laplacian(Graph.from_weights(w)), BoundaryCondition({0: 1.0}),
+                              sources=rng.normal(size=12))
+
+    def test_generalized_excess_grounds_an_unpinned_component(self):
+        # a self-loop excess on the second component makes its block regular
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.0
+        w[2, 3] = w[3, 2] = 1.0
+        q = Laplacian.generalized(laplacian(Graph.from_weights(w)).l + np.diag([0, 0, 0, 0.5]))
+        x = circuit_solve(q, BoundaryCondition({0: 1.0}), sources=[0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_allclose(x, [1.0, 1.0, 3.0, 2.0], rtol=1e-12)
 
     def test_source_length_mismatch(self, bench8):
         with pytest.raises(ValueError):
@@ -438,7 +460,7 @@ class TestResistanceAndCommute:
             commute_time(bench8, m, n)
 
 
-def _pinv_hitting_times(g, target):
+def _reduced_solve_hitting_times(g, target):
     """hitting_times as its own reduced solve, before it called circuit_solve."""
     n = g.n
     mat = laplacian(g).l
@@ -473,7 +495,7 @@ class TestGroundedSolveOracle:
         for g in _grounded_cases():
             for target in range(g.n):
                 np.testing.assert_array_equal(hitting_times(g, target),
-                                              _pinv_hitting_times(g, target))
+                                              _reduced_solve_hitting_times(g, target))
 
     def test_resistance_matches_pseudo_inverse(self):
         for g in _grounded_cases():
@@ -482,6 +504,36 @@ class TestGroundedSolveOracle:
                     if m != n:
                         assert effective_resistance(g, m, n) == pytest.approx(
                             _pinv_resistance(g, m, n), rel=1e-12, abs=0)
+
+
+class TestWeakBridge:
+    """Two unit 50-cliques joined by one edge of weight 1e-5 or 1e-7. The
+    hitting times into the far clique (about 2.5e8 and 2.5e10) and the
+    resistances across (about 1/bridge) dwarf the degrees and unit currents
+    on the right-hand side of the grounded solve."""
+
+    @pytest.mark.parametrize("bridge", [1e-5, 1e-7])
+    def test_hitting_times_bit_identical(self, bridge):
+        g = barbell_graph(50, bridge)
+        for target in (0, 49, 50, 99):
+            np.testing.assert_array_equal(hitting_times(g, target),
+                                          _reduced_solve_hitting_times(g, target))
+
+    @pytest.mark.parametrize("bridge", [1e-5, 1e-7])
+    def test_resistance_is_in_series(self, bridge):
+        # the forward error grows with the condition number, about 1/bridge
+        g = barbell_graph(50, bridge)
+        assert effective_resistance(g, 0, 99) == pytest.approx(
+            1.0 / bridge + 0.08, rel=1e-12 / bridge, abs=0)
+        assert commute_time(g, 0, 99) == pytest.approx(
+            g.degrees().sum() * (1.0 / bridge + 0.08), rel=1e-12 / bridge, abs=0)
+
+    def test_resistance_matches_pseudo_inverse_where_it_keeps_lambda2(self):
+        # lambda2 / lambdamax is about 1e-8, above the pseudo-inverse's 1e-10
+        # cut; its own error here is about 1.6e-8 relative
+        g = barbell_graph(50, 1e-5)
+        assert effective_resistance(g, 0, 99) == pytest.approx(
+            _pinv_resistance(g, 0, 99), rel=1e-7, abs=0)
 
 
 class TestLabelPropagation:
