@@ -68,6 +68,9 @@ def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarr
     Fixed rows and columns move to the right-hand side; the reduced system
     solves (L x)_n = i_n on the free vertices. NumericalError if a
     component holds no fixed vertex and so leaves the system singular.
+
+    A 2-D `sources` is a block of k source columns: the n x k potentials come
+    from one factorisation, each column pinned and checked on its own.
     """
     mat = np.asarray(l.l, dtype=float)
     n = mat.shape[0]
@@ -78,12 +81,14 @@ def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarr
     elif isinstance(sources, SourceVector):
         i_vec = np.asarray(sources.i, dtype=float)
     else:
-        i_vec = np.asarray(sources, dtype=float).reshape(-1)
-    if i_vec.size != n:
+        i_vec = np.asarray(sources, dtype=float)
+        i_vec = i_vec if i_vec.ndim == 2 else i_vec.reshape(-1)
+    if i_vec.shape[0] != n:
         raise ValueError("source vector length mismatch")
 
-    x = np.zeros(n)
-    x[fixed_idx] = fixed_val
+    pins = fixed_val if i_vec.ndim == 1 else fixed_val[:, None]
+    x = np.zeros(i_vec.shape)
+    x[fixed_idx] = pins
     free = np.delete(np.arange(n), fixed_idx)
     if free.size == 0:
         return x
@@ -98,16 +103,17 @@ def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarr
             raise NumericalError("reduced system is singular; the component "
                                  f"containing vertex {comp[0]} has no fixed vertex")
     a = mat[np.ix_(free, free)]
-    rhs = i_vec[free] - mat[np.ix_(free, fixed_idx)] @ fixed_val
+    rhs = i_vec[free] - mat[np.ix_(free, fixed_idx)] @ pins
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("reduced system is numerically singular") from exc
     # the backward error, against ||a|| ||sol||: across a weak bridge the
-    # potentials, and the rounding in a @ sol, grow far beyond rhs
-    residual = float(np.max(np.abs(a @ sol - rhs)))
-    if not residual <= 1e-8 * max(1.0, float(np.abs(a).sum(axis=1).max() * np.max(np.abs(sol)))):
-        raise NumericalError(f"reduced solve residual {residual:.3e} exceeds tolerance")
+    # potentials, and the rounding in a @ sol, grow far beyond rhs (per column)
+    residual = np.max(np.abs(a @ sol - rhs), axis=0)
+    bound = 1e-8 * np.maximum(1.0, np.abs(a).sum(axis=1).max() * np.max(np.abs(sol), axis=0))
+    if not np.all(residual <= bound):
+        raise NumericalError(f"reduced solve residual {np.max(residual):.3e} exceeds tolerance")
     x[free] = sol
     return x
 
@@ -328,12 +334,11 @@ def sparse_source_denoise(l: Laplacian, y, k: int, reference: int) -> np.ndarray
     """Denoise a signal assumed to be driven by k point sources.
 
     The k largest entries of L y (excluding the reference) locate the
-    sources; the signal is refit by least squares on the corresponding
-    columns of the inverse reduced Laplacian, with the reference pinned
-    at zero.
+    sources; the signal is refit by least squares on their potentials,
+    the circuit solves for unit currents into them with the reference
+    pinned at zero. NumericalError if a component holds no reference.
     """
-    mat = np.asarray(l.l, dtype=float)
-    n = mat.shape[0]
+    n = l.n
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != n:
         raise ValueError("signal length mismatch")
@@ -342,18 +347,13 @@ def sparse_source_denoise(l: Laplacian, y, k: int, reference: int) -> np.ndarray
     if k < 1 or k >= n:
         raise ValueError("k must satisfy 1 <= k <= N-1")
 
-    initial = mat @ y
     keep = np.delete(np.arange(n), reference)
-    order = np.argsort(-np.abs(initial[keep]), kind="stable")
-    chosen = keep[order[:k]]
+    chosen = keep[np.argsort(-np.abs((l.l @ y)[keep]), kind="stable")[:k]]
 
-    reduced = mat[np.ix_(keep, keep)]
-    inv_reduced = np.linalg.inv(reduced)
-    pos_in_reduced = np.searchsorted(keep, chosen)
-    l_k = inv_reduced[:, pos_in_reduced]
-    j_k = np.linalg.pinv(l_k) @ y[keep]
+    cols = circuit_solve(l, BoundaryCondition({reference: 0.0}), np.eye(n)[:, chosen])[keep]
+    # written into zeros, so x[reference] stays +0.0
     x = np.zeros(n)
-    x[keep] = l_k @ j_k
+    x[keep] = cols @ (np.linalg.pinv(cols) @ y[keep])
     return x
 
 

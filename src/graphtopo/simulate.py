@@ -127,11 +127,10 @@ def _prepare(g: Graph, spec: SimSpec):
             raise ValueError(f"mode {mode!r} needs at least 2 vertices")
         if len(connected_components(g.w)) > 1:
             raise NumericalError(f"mode {mode!r} requires a connected graph")
-        # Vertex 0 is the zero-potential reference. K inverts the reduced
-        # Laplacian L[1:, 1:], positive definite on a connected graph, and is
-        # zero in row and column 0, so L K[:, a] = e_a - e_0.
-        k = np.zeros((n, n))
-        k[1:, 1:] = np.linalg.inv(laplacian(g).l[1:, 1:])
+        # Column a of K is the potential of a unit current into a, grounded at
+        # vertex 0 (row and column 0 are zero), so L K[:, a] = e_a - e_0.
+        from .physical import BoundaryCondition, circuit_solve
+        k = circuit_solve(laplacian(g), BoundaryCondition({0: 0.0}), np.eye(n))
 
     if mode == "sources":
         def draw(rng):

@@ -7,18 +7,22 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtopo import io, solvers
 from graphtopo.cli import build_parser, dispatch
-from graphtopo.core import Graph, laplacian
-from graphtopo.physical import BoundaryCondition, circuit_solve, hitting_times
+from graphtopo.core import Graph, NumericalError, laplacian
+from graphtopo.physical import (BoundaryCondition, circuit_solve, hitting_times,
+                                sparse_source_denoise)
 from graphtopo.solvers import GlassoConfig, glasso
 
-from conftest import BENCH8_EDGES, PAGES8_LINKS, weights_from_edges
+from conftest import BENCH8_EDGES, PAGES8_LINKS, random_connected_graph, weights_from_edges
 
 PAGES_SCORES = [1.33, 1.52, 2.18, 0.79, 0.55, 0.18, 0.48, 0.97]
 
@@ -165,6 +169,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: bad.csv: non-finite value in row {len(m)}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_denoise_without_reference_in_a_component_exits_two(self, a, b, seed):
+        # two random connected components, the reference in the first; the
+        # second has no grounded vertex until one edge bridges them
+        rng = np.random.default_rng(seed)
+        n = a + b
+        w = np.zeros((n, n))
+        w[:a, :a] = random_connected_graph(rng, a).w
+        w[a:, a:] = random_connected_graph(rng, b).w
+        perm = rng.permutation(n)
+        w = w[np.ix_(perm, perm)]
+        first = np.flatnonzero(perm < a).tolist()
+        second = np.flatnonzero(perm >= a).tolist()
+        reference = int(rng.choice(first))
+        k = int(rng.integers(1, n))
+        y = rng.normal(size=n)
+
+        with pytest.raises(NumericalError) as err:
+            sparse_source_denoise(laplacian(Graph.from_weights(w)), y, k, reference)
+        assert int(re.search(r"vertex (\d+)", str(err.value)).group(1)) in second
+
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            io.write_graph_json(d / "g.json", Graph.from_weights(w))
+            io.write_vector_csv(d / "y.csv", y)
+            argv = ("solve", "denoise", "--graph", d / "g.json", "--obs", d / "y.csv",
+                    "--k", k, "--reference", reference,
+                    "--out", d / "x.csv", "--report", d / "r.json")
+            assert run(*argv) == 2
+            assert sorted(p.name for p in d.iterdir()) == ["g.json", "y.csv"]
+            i, j = int(rng.choice(first)), int(rng.choice(second))
+            w[i, j] = w[j, i] = rng.uniform(0.1, 1.0)
+            io.write_graph_json(d / "g.json", Graph.from_weights(w))
+            assert run(*argv) == 0
+
 
 class TestRegressReport:
     def test_unconverged_rows_reported(self, tmp_path, monkeypatch, inputs):
@@ -250,6 +290,18 @@ class TestReadme:
         args = build_parser().parse_args(shlex.split(line)[1:])
         if getattr(args, "params", None) is not None:
             assert isinstance(json.loads(args.params), dict)
+
+    def test_signal_and_regress_lines_run(self, tmp_path, monkeypatch, capsys):
+        # the example's learning pipeline on the bench8 graph and its weights
+        monkeypatch.chdir(tmp_path)
+        w = weights_from_edges(8, BENCH8_EDGES)
+        io.write_graph_json("bench8.json", Graph.from_weights(w))
+        io.write_matrix_csv("wtrue.csv", w)
+        lines = [line for line in readme_cli_lines()
+                 if line.startswith(("graphtopo gen signal ", "graphtopo learn regress "))]
+        assert len(lines) == 2
+        for line in lines:
+            assert dispatch(shlex.split(line)[1:]) == 0, line
 
 
 class TestGlassoWiring:
@@ -598,11 +650,20 @@ class TestLazyLoading:
         code = dispatch_code(argv) + "; assert 'numpy.ma' not in sys.modules"
         assert "graphtopo.physical" in loaded_modules(code, cwd=tmp_path)
 
-    def test_gen_signal_loads_no_physical_and_no_thread_pool(self, inputs, tmp_path):
+    def test_gen_signal_diffusion_loads_no_physical_and_no_thread_pool(self, inputs, tmp_path):
+        argv = ["gen", "signal", "--graph", str(inputs / "bench8.json"),
+                "--mode", "diffusion", "--params", '{"h": [0.3, 0.2, 0.5]}',
+                "--seed", "0", "--p", "3"]
+        code = dispatch_code(argv) + "; assert 'concurrent.futures' not in sys.modules"
+        assert "graphtopo.physical" not in loaded_modules(code, cwd=tmp_path)
+
+    def test_gen_signal_grounded_mode_loads_physical_and_no_thread_pool(self, inputs,
+                                                                       tmp_path):
+        # the grounded modes draw from one block circuit_solve
         argv = ["gen", "signal", "--graph", str(inputs / "bench8.json"),
                 "--mode", "pinned_pair", "--seed", "0", "--p", "3"]
         code = dispatch_code(argv) + "; assert 'concurrent.futures' not in sys.modules"
-        assert "graphtopo.physical" not in loaded_modules(code, cwd=tmp_path)
+        assert "graphtopo.physical" in loaded_modules(code, cwd=tmp_path)
 
     def test_learn_glasso_loads_no_unused_modules(self, inputs, tmp_path):
         argv = ["learn", "glasso", "--corr", str(inputs / "corr.csv"), "--rho", "0.1"]

@@ -88,8 +88,9 @@ class TestCircuitSolve:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         g = Graph.from_weights(w)
-        with pytest.raises(NumericalError):
-            circuit_solve(laplacian(g), BoundaryCondition({0: 1.0}))
+        for sources in (None, np.eye(4)):
+            with pytest.raises(NumericalError, match="vertex 2 has no fixed vertex"):
+                circuit_solve(laplacian(g), BoundaryCondition({0: 1.0}), sources)
 
     def test_unpinned_component_raises_where_rounding_hides_it(self):
         # with uneven weights the unpinned block is singular only up to
@@ -116,6 +117,31 @@ class TestCircuitSolve:
         with pytest.raises(ValueError):
             circuit_solve(laplacian(bench8), BoundaryCondition({0: 1.0}),
                           sources=[1.0, 2.0])
+        with pytest.raises(ValueError):
+            circuit_solve(laplacian(bench8), BoundaryCondition({0: 1.0}),
+                          sources=np.eye(7))
+
+    def test_block_columns_match_single_solves(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            g = random_connected_graph(rng, int(rng.integers(4, 30)))
+            bc = BoundaryCondition({0: rng.normal(), g.n - 1: rng.normal()})
+            block = rng.normal(size=(g.n, 5))
+            x = circuit_solve(laplacian(g), bc, block)
+            assert x.shape == (g.n, 5)
+            for j in range(5):
+                np.testing.assert_allclose(x[:, j], circuit_solve(laplacian(g), bc, block[:, j]),
+                                           rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(x[[0, g.n - 1]],
+                                          np.repeat(bc.values(g.n)[:, None], 5, axis=1))
+
+    def test_block_of_unit_currents_is_the_reduced_inverse(self):
+        # both are LAPACK gesv on identity columns: simulate's K, grounded
+        # at vertex 0, keeps the bytes of inv(L[1:, 1:])
+        for g in _grounded_cases():
+            k = circuit_solve(laplacian(g), BoundaryCondition({0: 0.0}), np.eye(g.n))
+            np.testing.assert_array_equal(k[1:, 1:], np.linalg.inv(laplacian(g).l[1:, 1:]))
+            assert not k[0].any() and not k[:, 0].any()
 
 
 class TestPageRank:
@@ -472,9 +498,11 @@ def _reduced_solve_hitting_times(g, target):
     return h
 
 
-def _pinv_resistance(g, m, n):
-    """effective_resistance through the full pseudo-inverse."""
-    lp = pseudo_inverse(laplacian(g).l)
+def _pinv_resistance(g, m, n, lp=None):
+    """effective_resistance through the full pseudo-inverse lp of L,
+    computed here unless given."""
+    if lp is None:
+        lp = pseudo_inverse(laplacian(g).l)
     e = np.zeros(g.n)
     e[m], e[n] = 1.0, -1.0
     return float(e @ lp @ e)
@@ -499,11 +527,12 @@ class TestGroundedSolveOracle:
 
     def test_resistance_matches_pseudo_inverse(self):
         for g in _grounded_cases():
+            lp = pseudo_inverse(laplacian(g).l)
             for m in range(g.n):
                 for n in range(g.n):
                     if m != n:
                         assert effective_resistance(g, m, n) == pytest.approx(
-                            _pinv_resistance(g, m, n), rel=1e-12, abs=0)
+                            _pinv_resistance(g, m, n, lp), rel=1e-12, abs=0)
 
 
 class TestWeakBridge:
@@ -623,6 +652,18 @@ class TestSparseSourceDenoise:
 
         out = sparse_source_denoise(lap, y, k=5, reference=0)
         assert snr(out) - snr(y) >= 6.0
+
+    def test_component_without_reference_raises(self):
+        # nothing grounds the second component, so its potentials are
+        # undetermined, whatever rounding lets the solve return
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            w = np.zeros((8, 8))
+            w[:4, :4] = random_connected_graph(rng, 4).w
+            w[4:, 4:] = random_connected_graph(rng, 4).w
+            with pytest.raises(NumericalError, match="vertex 4 has no fixed vertex"):
+                sparse_source_denoise(laplacian(Graph.from_weights(w)), rng.normal(size=8),
+                                      k=3, reference=0)
 
     def test_argument_validation(self):
         g = path_graph(5)
