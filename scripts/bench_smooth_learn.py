@@ -4,9 +4,9 @@ checkout, and write the results as JSON.
     python scripts/bench_smooth_learn.py --baseline ../parent/src --out BENCH.json
 
 Each case draws P = 2000 diffusion or sources signals on a random connected
-graph of n vertices (a random spanning tree plus about n more edges, weights
-in [0.5, 1.5)) and runs smooth_learn at alpha = beta = 1 with its default cap
-of 20 outer iterations. Each round runs the chosen cases once in a fresh
+graph of n vertices (`sweep.connected_graph`: a random spanning tree plus
+about n more edges, weights in [0.5, 1.5)) and runs smooth_learn at alpha =
+beta = 1 with its default cap of 20 outer iterations. Each round runs the chosen cases once in a fresh
 interpreter per checkout, with OPENBLAS_NUM_THREADS=1; the checkout that runs
 first swaps every round. The JSON gives, per checkout and case, the median,
 min and max seconds over the rounds, the outer iterations computed (the
@@ -33,17 +33,6 @@ CASES = {f"{mode}_{n}": (n, mode) for n in (25, 50, 100, 300)
 PARAMS = {"diffusion": {"h": (0.3, 0.2, 0.5)}, "sources": {}}
 
 
-def _graph(np, Graph, n, seed):
-    rng = np.random.default_rng(seed)
-    w = np.zeros((n, n))
-    order = rng.permutation(n)
-    parents = order[[rng.integers(k) for k in range(1, n)]]
-    w[order[1:], parents] = rng.uniform(0.5, 1.5, n - 1)
-    extra = np.triu(rng.random((n, n)) < 2.0 / n, 1) * rng.uniform(0.5, 1.5, (n, n))
-    w = np.maximum(w + w.T, extra + extra.T)
-    return Graph.from_weights(w)
-
-
 def worker(src: str, *names: str) -> None:
     """Run the named cases once on the graphtopo under src and print JSON:
     per case the seconds of the call, the outer iterations and the result."""
@@ -56,8 +45,8 @@ def worker(src: str, *names: str) -> None:
     out = {}
     for name in names:
         n, mode = CASES[name]
-        x = simulate(_graph(np, Graph, n, seed=n), SimSpec(mode, seed=1, p=P,
-                                                           params=PARAMS[mode])).x
+        x = simulate(sweep.connected_graph(np, Graph, n, seed=n),
+                     SimSpec(mode, seed=1, p=P, params=PARAMS[mode])).x
         trace: list = []
         t0 = time.perf_counter()
         l, y = smooth_learn(x, ALPHA, BETA, objective_trace=trace)

@@ -1,5 +1,6 @@
 """Rounds of in-process kernel timings on two checkouts, shared by the
-per-kernel sweep scripts (`bench_monte_carlo.py`, `bench_smooth_learn.py`).
+per-kernel sweep scripts (`bench_monte_carlo.py`, `bench_smooth_learn.py`,
+`bench_grounded.py`).
 
 A sweep script runs as its own worker: `script --worker SRC ARGS...` imports
 graphtopo from SRC, runs its cases and prints one JSON object. `rounds` runs
@@ -51,6 +52,20 @@ def rounds(script: str, srcs: dict[str, Path], count: int, *args: str) -> dict[s
             runs[label].append(spawn(script, src, *args))
             print(f"round {r + 1} {label} done", file=sys.stderr)
     return runs
+
+
+def connected_graph(np, Graph, n: int, seed: int):
+    """A seeded random connected graph: a random spanning tree plus about n
+    more edges, weights in [0.5, 1.5). np and Graph come from the worker's
+    imports."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    order = rng.permutation(n)
+    parents = order[[rng.integers(k) for k in range(1, n)]]
+    w[order[1:], parents] = rng.uniform(0.5, 1.5, n - 1)
+    extra = np.triu(rng.random((n, n)) < 2.0 / n, 1) * rng.uniform(0.5, 1.5, (n, n))
+    w = np.maximum(w + w.T, extra + extra.T)
+    return Graph.from_weights(w)
 
 
 def checkout_info(src: Path) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, Laplacian, NumericalError, connected_components
+from .core import Graph, Laplacian
 
 __all__ = ["FlowVector", "betweenness", "closeness_vitality", "fick_population"]
 
@@ -179,7 +179,8 @@ def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
     q is centred first: L^+ drops its mean on a connected graph, and the
     centred flows balance, so the grounded solve L x = q - mean(q) through
     circuit_solve, with vertex 0 pinned to 0, gives L^+ q up to a constant
-    that the shift removes. l must be the combinatorial Laplacian D - W."""
+    that the shift removes. l must be the combinatorial Laplacian D - W.
+    circuit_solve's NumericalError if a component holds no vertex 0."""
     if k <= 0:
         raise ValueError("diffusivity k must be positive")
     if l.kind != "combinatorial":
@@ -189,10 +190,6 @@ def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.size != l.n:
         raise ValueError("flow length does not match the graph")
-    w = -np.asarray(l.l, dtype=float)
-    np.fill_diagonal(w, 0.0)
-    if len(connected_components(w)) > 1:
-        raise NumericalError("population estimate needs a connected graph")
     # each command loads only the modules it runs (cli's lazy loading, see
     # test_metro_centrality_loads_only_metro), so physical is imported here
     from .physical import BoundaryCondition, circuit_solve

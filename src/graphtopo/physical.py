@@ -162,9 +162,9 @@ def absorbing_probabilities(g: Graph, bc: BoundaryCondition) -> np.ndarray:
 def hitting_times(g: Graph, target: int) -> np.ndarray:
     """Expected steps for a random walker to first reach the target: the
     grounded solve L h = d through circuit_solve, with the target pinned
-    to 0 and each vertex injecting its degree."""
-    if len(connected_components(g.w)) > 1:
-        raise NumericalError("hitting times are infinite on a disconnected graph")
+    to 0 and each vertex injecting its degree. ValueError for a target out
+    of range; circuit_solve's NumericalError if a component holds no target,
+    where the times are infinite."""
     if not 0 <= target < g.n:
         raise ValueError("target out of range")
     return circuit_solve(laplacian(g), BoundaryCondition({target: 0.0}), g.degrees())
@@ -299,13 +299,12 @@ def monte_carlo_hitting(g: Graph, start: int, target: int, walks: int,
 def effective_resistance(g: Graph, m: int, n: int) -> float:
     """Two-point resistance (e_m - e_n)' L^+ (e_m - e_n): the potential at m
     when a unit current enters at m and leaves at n, with n grounded at 0,
-    solved through circuit_solve."""
+    solved through circuit_solve. For m != n, circuit_solve's NumericalError
+    if a component holds no n, where the resistance is infinite."""
     if not (0 <= m < g.n and 0 <= n < g.n):
         raise ValueError(f"m and n must be vertices in [0, {g.n})")
     if m == n:
         return 0.0
-    if len(connected_components(g.w)) > 1:
-        raise NumericalError("effective resistance is infinite across components")
     current = np.zeros(g.n)
     current[m], current[n] = 1.0, -1.0
     return float(circuit_solve(laplacian(g), BoundaryCondition({n: 0.0}), current)[m])

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import SIGNAL_MODES, Graph, NumericalError, connected_components, eig_sym, laplacian
+from .core import SIGNAL_MODES, Graph, eig_sym, laplacian
 from .learning import ObservationMatrix
 
 __all__ = ["MODES", "SimSpec", "simulate"]
@@ -118,15 +118,17 @@ class SimSpec:
 
 
 def _prepare(g: Graph, spec: SimSpec):
-    """Validate the spec against the graph and return a per-snapshot draw."""
+    """Validate the spec against the graph and return a per-snapshot draw.
+
+    The grounded modes (sources, dipole, pinned_pair) pin vertex 0, so
+    circuit_solve's NumericalError refuses a graph with a component that
+    does not hold it."""
     n = g.n
     mode = spec.mode
 
     if mode in ("sources", "dipole", "pinned_pair"):
         if n < 2:
             raise ValueError(f"mode {mode!r} needs at least 2 vertices")
-        if len(connected_components(g.w)) > 1:
-            raise NumericalError(f"mode {mode!r} requires a connected graph")
         # Column a of K is the potential of a unit current into a, grounded at
         # vertex 0 (row and column 0 are zero), so L K[:, a] = e_a - e_0.
         from .physical import BoundaryCondition, circuit_solve

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, driven in process through dispatch()."""
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,18 @@ def inputs(tmp_path_factory):
 
 def run(*argv) -> int:
     return dispatch([str(a) for a in argv])
+
+
+def two_components(rng, a: int, b: int):
+    """Weights of two random connected components of a and b vertices, in
+    shuffled order, and the vertex lists of the first and the second."""
+    n = a + b
+    w = np.zeros((n, n))
+    w[:a, :a] = random_connected_graph(rng, a).w
+    w[a:, a:] = random_connected_graph(rng, b).w
+    perm = rng.permutation(n)
+    w = w[np.ix_(perm, perm)]
+    return w, np.flatnonzero(perm < a).tolist(), np.flatnonzero(perm >= a).tolist()
 
 
 class TestExitCodes:
@@ -176,13 +190,7 @@ class TestExitCodes:
         # second has no grounded vertex until one edge bridges them
         rng = np.random.default_rng(seed)
         n = a + b
-        w = np.zeros((n, n))
-        w[:a, :a] = random_connected_graph(rng, a).w
-        w[a:, a:] = random_connected_graph(rng, b).w
-        perm = rng.permutation(n)
-        w = w[np.ix_(perm, perm)]
-        first = np.flatnonzero(perm < a).tolist()
-        second = np.flatnonzero(perm >= a).tolist()
+        w, first, second = two_components(rng, a, b)
         reference = int(rng.choice(first))
         k = int(rng.integers(1, n))
         y = rng.normal(size=n)
@@ -204,6 +212,43 @@ class TestExitCodes:
             w[i, j] = w[j, i] = rng.uniform(0.1, 1.0)
             io.write_graph_json(d / "g.json", Graph.from_weights(w))
             assert run(*argv) == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_grounded_commands_without_pin_in_a_component_exit_two(self, a, b, seed):
+        # every command pins one vertex of the component that holds vertex 0:
+        # hitting its --target, commute its --n, population and the sources
+        # signal vertex 0. circuit_solve refuses the other component, until
+        # one edge bridges them
+        rng = np.random.default_rng(seed)
+        n = a + b
+        w, first, second = two_components(rng, a, b)
+        if 0 in second:
+            first, second = second, first
+        t = int(rng.choice(first))
+        m = int(rng.choice([v for v in range(n) if v != t]))
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            io.write_vector_csv(d / "q.csv", rng.normal(size=n))
+            commands = [
+                ("solve", "hitting", "--target", t),
+                ("solve", "commute", "--m", m, "--n", t),
+                ("metro", "population", "--flows", d / "q.csv", "--k", 1.0),
+                ("gen", "signal", "--mode", "sources", "--seed", seed, "--p", 3),
+            ]
+            outputs = ("--graph", d / "g.json", "--out", d / "out.csv", "--report", d / "r.json")
+            io.write_graph_json(d / "g.json", Graph.from_weights(w))
+            for argv in commands:
+                err = StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert run(*argv, *outputs) == 2
+                assert int(re.search(r"vertex (\d+)", err.getvalue()).group(1)) in second
+                assert sorted(p.name for p in d.iterdir()) == ["g.json", "q.csv"]
+            i, j = int(rng.choice(first)), int(rng.choice(second))
+            w[i, j] = w[j, i] = rng.uniform(0.1, 1.0)
+            io.write_graph_json(d / "g.json", Graph.from_weights(w))
+            for argv in commands:
+                assert run(*argv, *outputs) == 0
 
 
 class TestRegressReport:
@@ -388,6 +433,17 @@ class TestPropagateCommand:
         assert run("solve", "absorb", "--graph", "path.json", "--bc", "pins.csv",
                    "--out", "absorb.csv") == 0
         assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "absorb.csv").read_bytes()
+
+    def test_unlabeled_component_exits_one(self, tmp_path, monkeypatch, capsys):
+        # label_propagation refuses the input before any solve: exit 1, not 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(
+            json.dumps({"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}))
+        (tmp_path / "pins.csv").write_text("0,0\n1,1\n")
+        assert run("solve", "propagate", "--graph", "g.json", "--bc", "pins.csv",
+                   "--out", "labels.csv", "--report", "r.json") == 1
+        assert capsys.readouterr().err == "error: component containing vertex 2 has no label\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "pins.csv"]
 
 
 class TestPlotData:
