@@ -4,9 +4,9 @@ checkout, and write the results as JSON.
     python scripts/bench_smooth_learn.py --baseline ../parent/src --out BENCH.json
 
 Each case draws P = 2000 diffusion or sources signals on a random connected
-graph of n vertices (`sweep.connected_graph`: a random spanning tree plus
-about n more edges, weights in [0.5, 1.5)) and runs smooth_learn at alpha =
-beta = 1 with its default cap of 20 outer iterations. Each round runs the chosen cases once in a fresh
+graph of n vertices (a random spanning tree plus about n more edges, weights
+in [0.5, 1.5)) and runs smooth_learn at alpha = beta = 1 with its default cap
+of 20 outer iterations. Each round runs the chosen cases once in a fresh
 interpreter per checkout, with OPENBLAS_NUM_THREADS=1; the checkout that runs
 first swaps every round. The JSON gives, per checkout and case, the median,
 min and max seconds over the rounds, the outer iterations computed (the
