@@ -1,64 +1,63 @@
-"""Rounds of in-process kernel timings on two checkouts, shared by the
-per-kernel sweep scripts (`bench_monte_carlo.py`, `bench_smooth_learn.py`,
-`bench_grounded.py`).
+"""Time graphtopo kernels in process on this checkout and on a baseline
+checkout, and write the results as JSON.
 
-A sweep script runs as its own worker: `script --worker SRC ARGS...` imports
-graphtopo from SRC, runs its cases and prints one JSON object. `rounds` runs
-that worker once per round and checkout, each in a fresh interpreter with
-OPENBLAS_NUM_THREADS=1, and swaps which checkout runs first every round.
+    python scripts/sweep.py --baseline ../parent/src --out BENCH.json \\
+        [--rounds 5] [--case NAME ...]
+
+CASES is the table: one row per case, and --case picks rows by name
+(default: all). A row names the graphtopo function it times ("module.function"),
+its parameters, a seeded builder of the calls' arguments (built untimed; n
+sizes the input), and an outcome function that digests the answers. To time
+a new kernel, add one row per size to CASES, with a builder and, unless the
+answers are float arrays, an outcome function.
+
+Each round runs the chosen cases once in a fresh interpreter per checkout,
+with OPENBLAS_NUM_THREADS=1; the checkout that runs first swaps every round.
+Rows marked `traced` run once more per checkout under tracemalloc after the
+rounds, so the tracing does not slow the timed calls.
+
+The JSON holds "machine", "same_results" and "timings": one entry per
+checkout and case, giving the kernel, the checkout's git sha and whether its
+source tree had uncommitted changes, the case (name and parameters), the
+median, min and max seconds over the rounds and the round count, the
+tracemalloc peak of traced rows, "iterations" and "converged" where the
+kernel reports them, and "result": a SHA-256 of the answers' bytes and one
+scalar of them (for Monte Carlo hitting, the (mean, stderr) it returns).
+A result must repeat in every round and pass; the exit status is 1 when the
+two checkouts' results differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 CHANGE_SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+P = 2000  # signals per case
+SIGNAL_PARAMS = {"diffusion": {"h": (0.3, 0.2, 0.5)}, "sources": {}}
 
 
-def parser(doc: str) -> argparse.ArgumentParser:
-    """--baseline, --rounds and --out; a script adds its own arguments."""
-    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
-    ap.add_argument("--baseline", required=True, help="src directory of the baseline checkout")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    return ap
-
-
-def checkouts(baseline: str) -> dict[str, Path]:
-    return {"baseline": Path(baseline).resolve(), "change": CHANGE_SRC}
-
-
-def spawn(script: str, src: Path, *args: str) -> dict:
-    """Run `script --worker src args...` in a fresh interpreter and return
-    the JSON it prints."""
-    proc = subprocess.run([sys.executable, script, "--worker", str(src), *args],
-                          env=ENV, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def rounds(script: str, srcs: dict[str, Path], count: int, *args: str) -> dict[str, list]:
-    """Each checkout's worker output, one per round; the checkout that runs
-    first swaps every round."""
-    runs: dict[str, list] = {label: [] for label in srcs}
-    for r in range(count):
-        for label, src in list(srcs.items())[::1 if r % 2 == 0 else -1]:
-            runs[label].append(spawn(script, src, *args))
-            print(f"round {r + 1} {label} done", file=sys.stderr)
-    return runs
-
-
-def connected_graph(np, Graph, n: int, seed: int):
-    """A seeded random connected graph: a random spanning tree plus about n
-    more edges, weights in [0.5, 1.5). np and Graph come from the worker's
-    imports."""
-    rng = np.random.default_rng(seed)
+def connected_graph(n: int):
+    """A seeded random connected graph (seed n): a random spanning tree plus
+    about n more edges, weights in [0.5, 1.5)."""
+    from graphtopo.core import Graph
+    rng = np.random.default_rng(n)
     w = np.zeros((n, n))
     order = rng.permutation(n)
     parents = order[[rng.integers(k) for k in range(1, n)]]
@@ -68,9 +67,251 @@ def connected_graph(np, Graph, n: int, seed: int):
     return Graph.from_weights(w)
 
 
+def signals(c: dict) -> np.ndarray:
+    """P seeded signals of c["signals"] mode on connected_graph(c["n"])."""
+    from graphtopo.simulate import SimSpec, simulate
+    mode = c["signals"]
+    return simulate(connected_graph(c["n"]), SimSpec(mode, seed=1, p=c["p"],
+                                                     params=SIGNAL_PARAMS[mode])).x
+
+
+# ------------------------------------------------------------ call builders
+# Each takes the case parameters and returns the timed calls' arguments, a
+# list of (args, kwargs).
+
+def walks_calls(c: dict, seed: int):
+    """A path through all vertices in random order plus random edges with
+    weights in [0.1, 1); p None gives the unit-weight path 0-1-...-(n-1)."""
+    from graphtopo.core import Graph
+    n, p = c["n"], c["p"]
+    w = np.zeros((n, n))
+    if p is None:
+        w[np.arange(n - 1), np.arange(1, n)] = 1.0
+    else:
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.random((n, n)) < p, 1) * rng.uniform(0.1, 1.0, (n, n))
+        order = rng.permutation(n)
+        a, b = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+        w[a, b] = rng.uniform(0.1, 1.0, n - 1)
+    return [((Graph.from_weights(w + w.T), 0, n - 1), {"walks": c["walks"], "seed": 3})]
+
+
+def graph_calls(c: dict):
+    return [((connected_graph(c["n"]),), {})]
+
+
+def cuts_calls(c: dict):
+    return [((connected_graph(c["n"]), c["cuts"]), {})]
+
+
+def resistance_calls(c: dict):
+    """c["calls"] ordered pairs (m, k), m != k, drawn from default_rng(n)."""
+    n = c["n"]
+    g, rng = connected_graph(n), np.random.default_rng(n)
+    m = rng.integers(n, size=c["calls"])
+    k = (m + rng.integers(1, n, size=c["calls"])) % n
+    return [((g, int(a), int(b)), {}) for a, b in zip(m, k)]
+
+
+def hitting_calls(c: dict):
+    g = connected_graph(c["n"])
+    return [((g, t), {}) for t in range(c["n"])]
+
+
+def circuit_calls(c: dict):
+    """The block solve of simulate's grounded modes: vertex 0 grounded, a
+    unit current into each vertex."""
+    from graphtopo.core import laplacian
+    from graphtopo.physical import BoundaryCondition
+    n = c["n"]
+    return [((laplacian(connected_graph(n)), BoundaryCondition({0: 0.0}), np.eye(n)), {})]
+
+
+def simulate_calls(c: dict):
+    from graphtopo.simulate import SimSpec
+    return [((connected_graph(c["n"]), SimSpec(c["signals"], seed=1, p=c["p"])), {})]
+
+
+def smooth_calls(c: dict):
+    return [((signals(c), c["alpha"], c["beta"]), {"objective_trace": []})]
+
+
+def glasso_calls(c: dict):
+    from graphtopo.learning import correlation_matrix
+    from graphtopo.solvers import GlassoConfig
+    return [((correlation_matrix(signals(c)), GlassoConfig(c["rho"])), {"report": {}})]
+
+
+def regress_calls(c: dict):
+    return [((signals(c), c["rho"]), {"report": {}})]
+
+
+def polyfit_calls(c: dict):
+    from graphtopo.learning import PolyFitConfig, correlation_matrix
+    return [((correlation_matrix(signals(c)), PolyFitConfig(c["order"])), {})]
+
+
+def csv_write_calls(c: dict):
+    return [(("signals.csv", signals(c)), {})]
+
+
+def csv_read_calls(c: dict):
+    from graphtopo.io import write_matrix_csv
+    write_matrix_csv("signals.csv", signals(c))
+    return [(("signals.csv",), {})]
+
+
+# ---------------------------------------------------------------- outcomes
+# Each takes the answers of the calls and the first call's (args, kwargs),
+# and returns the JSON fields "result" and, where reported, "iterations" and
+# "converged".
+
+def digest(arrays, scalar) -> list:
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    return [hashlib.sha256(data).hexdigest(), float(scalar)]
+
+
+def sums(answers, call) -> dict:
+    """All answers as one float array: its bytes and the sum of its finite
+    entries (closeness vitality is infinite at a cut vertex)."""
+    a = np.asarray(answers, dtype=float)
+    return {"result": digest([a], a[np.isfinite(a)].sum())}
+
+
+def walks_outcome(answers, call) -> dict:
+    return {"result": list(answers[0])}
+
+
+def reported(answers, call) -> dict:
+    report = call[1]["report"]
+    return {**sums(answers, call), "iterations": report["iterations"],
+            "converged": report["converged"]}
+
+
+def regress_outcome(answers, call) -> dict:
+    return reported([b.b for b in answers], call)
+
+
+def smooth_outcome(answers, call) -> dict:
+    fit, trace = answers[0], call[1]["objective_trace"]
+    return {"result": digest([fit.laplacian.l, fit.signal.x], trace[-1]),
+            "iterations": len(trace), "converged": fit.converged}
+
+
+def polyfit_outcome(answers, call) -> dict:
+    eigenvalues, l = answers[0]
+    return {"result": digest([eigenvalues, l.l], eigenvalues.sum())}
+
+
+def simulate_outcome(answers, call) -> dict:
+    return sums([a.x for a in answers], call)
+
+
+def cuts_outcome(answers, call) -> dict:
+    """Each vertex labelled with the index of its leaf."""
+    labels = np.zeros(call[0][0].n)
+    for i, leaf in enumerate(answers[0].leaves()):
+        labels[list(leaf.vertices)] = i
+    return sums([labels], call)
+
+
+def written_outcome(answers, call) -> dict:
+    data = Path(call[0][0]).read_bytes()
+    return {"result": digest([np.frombuffer(data, np.uint8)], len(data))}
+
+
+# ------------------------------------------------------------------- table
+
+@dataclass(frozen=True)
+class Case:
+    kernel: str  # "module.function" under graphtopo, the function timed
+    params: dict  # recorded as the case; n sizes the input
+    build: Callable[[dict], list]  # params -> [(args, kwargs)] of the calls, untimed
+    outcome: Callable[[list, tuple], dict] = sums
+    traced: bool = False  # also measure the tracemalloc peak, in a separate pass
+
+
+SIZES = (25, 50, 100, 300)
+UP_TO_1000 = (*SIZES, 1000)
+
+
+def rows(prefix: str, kernel: str, build, outcome=sums, sizes=SIZES,
+         **params) -> dict[str, Case]:
+    """One case per size n, named prefix_n."""
+    return {f"{prefix}_{n}": Case(kernel, {"n": n, **params}, build, outcome)
+            for n in sizes}
+
+
+WALKS = [("verify_path", 6, None, 1_000_000), ("sparse_25", 25, 0.15, 100_000),
+         ("sparse_100", 100, 0.05, 50_000), ("sparse_300", 300, 0.02, 20_000),
+         ("dense_300", 300, 0.5, 20_000), ("dense_1000", 1000, 0.5, 5_000)]
+CASES: dict[str, Case] = {
+    name: Case("physical.monte_carlo_hitting", {"n": n, "p": p, "walks": walks},
+               partial(walks_calls, seed=i), walks_outcome, traced=True)
+    for i, (name, n, p, walks) in enumerate(WALKS)}
+for mode in SIGNAL_PARAMS:
+    CASES.update(rows(mode, "learning.smooth_learn", smooth_calls, smooth_outcome,
+                      UP_TO_1000, signals=mode, p=P, alpha=1.0, beta=1.0))
+CASES.update(rows("resistance", "physical.effective_resistance", resistance_calls, calls=500))
+CASES.update({f"hitting_{n}": Case("physical.hitting_times", {"n": n, "calls": n},
+                                   hitting_calls) for n in SIZES})
+for mode in SIGNAL_PARAMS:
+    CASES.update(rows(f"glasso_{mode}", "solvers.glasso", glasso_calls, reported,
+                      signals=mode, p=P, rho=0.05))
+for mode, rho in (("diffusion", 0.05), ("sources", 100.0)):
+    CASES.update(rows(f"regress_{mode}", "learning.neighborhood_regression", regress_calls,
+                      regress_outcome, signals=mode, p=P, rho=rho))
+CASES.update({
+    **rows("polyfit", "learning.polynomial_fit_eigenvalues", polyfit_calls, polyfit_outcome,
+           UP_TO_1000, signals="diffusion", p=P, order=2),
+    **rows("betweenness", "metro.betweenness", graph_calls, sizes=UP_TO_1000),
+    **rows("vitality", "metro.closeness_vitality", graph_calls, sizes=UP_TO_1000),
+    **rows("simulate", "simulate.simulate", simulate_calls, simulate_outcome, UP_TO_1000,
+           signals="sources", p=P),
+    **rows("cuts", "portfolio.repeated_cuts", cuts_calls, cuts_outcome, UP_TO_1000, cuts=6),
+    **rows("circuit", "physical.circuit_solve", circuit_calls, sizes=UP_TO_1000),
+    **rows("csv_write", "io.write_matrix_csv", csv_write_calls, written_outcome, UP_TO_1000,
+           signals="diffusion", p=P),
+    **rows("csv_read", "io.read_matrix_csv", csv_read_calls, sizes=UP_TO_1000,
+           signals="diffusion", p=P),
+})
+
+
+# ------------------------------------------------------------------ runner
+
+def worker(src: str, measure: str, *names: str) -> None:
+    """Run the named cases once on the graphtopo under src, in a scratch
+    working directory, and print JSON: per case the seconds ("time") or the
+    tracemalloc peak bytes ("memory") of its calls, and its outcome."""
+    sys.path.insert(0, src)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name in names:
+            c = CASES[name]
+            module, function = c.kernel.split(".")
+            fn = getattr(importlib.import_module(f"graphtopo.{module}"), function)
+            calls = c.build(c.params)
+            if measure == "memory":
+                tracemalloc.start()
+            t0 = time.perf_counter()
+            answers = [fn(*args, **kwargs) for args, kwargs in calls]
+            value = time.perf_counter() - t0
+            if measure == "memory":
+                value = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            out[name] = [value, c.outcome(answers, calls[0])]
+    print(json.dumps(out))
+
+
+def spawn(src: Path, measure: str, names: list[str]) -> dict:
+    """Run the worker in a fresh interpreter and return the JSON it prints."""
+    proc = subprocess.run([sys.executable, __file__, "--worker", str(src), measure, *names],
+                          env=ENV, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def checkout_info(src: Path) -> dict:
-    """The checkout's git sha and whether its source tree has uncommitted
-    changes."""
     def git(*args):
         return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
@@ -78,16 +319,51 @@ def checkout_info(src: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "."))}
 
 
-def spread(seconds: list[float]) -> dict:
-    return {"median_s": round(statistics.median(seconds), 4),
-            "min_s": round(min(seconds), 4), "max_s": round(max(seconds), 4),
-            "rounds": len(seconds)}
-
-
-def write_report(path, machine: str, same: bool, rows: list[dict]) -> int:
-    """Write the sweep's JSON; the exit status is 1 when the checkouts'
-    results differ."""
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", required=True, help="src directory of the baseline checkout")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--case", action="append", choices=list(CASES),
+                    help="run only this case (repeatable; default: all)")
+    args = ap.parse_args(argv)
+    names = args.case or list(CASES)
+    traced = [name for name in names if CASES[name].traced]
+    srcs = {"baseline": Path(args.baseline).resolve(), "change": CHANGE_SRC}
+    runs: dict[str, list] = {label: [] for label in srcs}
+    for r in range(args.rounds):
+        for label, src in list(srcs.items())[::1 if r % 2 == 0 else -1]:
+            runs[label].append(spawn(src, "time", names))
+            print(f"round {r + 1} {label} done", file=sys.stderr)
+    peaks = {label: spawn(src, "memory", traced) if traced else {}
+             for label, src in srcs.items()}
+    timings = []
+    for label, src in srcs.items():
+        info = checkout_info(src)
+        for name in names:
+            passes = runs[label] + ([peaks[label]] if name in peaks[label] else [])
+            outcome = passes[0][name][1]
+            if any(run[name][1] != outcome for run in passes):
+                raise RuntimeError(f"{label} {name} gave different results across rounds")
+            seconds = [run[name][0] for run in runs[label]]
+            row = {"kernel": CASES[name].kernel, "checkout": label, **info,
+                   "case": {"name": name, **CASES[name].params},
+                   "median_s": round(statistics.median(seconds), 4),
+                   "min_s": round(min(seconds), 4), "max_s": round(max(seconds), 4),
+                   "rounds": len(seconds)}
+            if name in peaks[label]:
+                row["tracemalloc_peak_mb"] = round(peaks[label][name][0] / 1e6, 2)
+            timings.append({**row, **outcome})
+    same = all(a["result"] == b["result"] for a, b in zip(timings, timings[len(names):]))
+    machine = "in process" + ("; peaks from a separate tracemalloc pass" if traced else "")
     report = {"machine": f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS=1, {machine}",
-              "same_results": same, "timings": rows}
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+              "same_results": same, "timings": timings}
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0 if same else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(*sys.argv[2:])
+    else:
+        sys.exit(main())

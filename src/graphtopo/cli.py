@@ -59,12 +59,21 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _read_bc(path):
-    """Boundary/label CSV: one `index,value` row per fixed vertex."""
+    """Boundary/label CSV: one `index,value` row per fixed vertex. A
+    non-integral or repeated index is refused, naming its row, counted from 1
+    as read_matrix_csv counts them."""
     from .physical import BoundaryCondition
     m = np.atleast_2d(io.read_matrix_csv(path))
     if m.shape[1] != 2:
         raise UsageError(f"{path}: expected two columns (index, value)")
-    return BoundaryCondition({int(row[0]): float(row[1]) for row in m})
+    fixed: dict[int, float] = {}
+    for row, (index, value) in enumerate(m.tolist(), 1):
+        if index != int(index):
+            raise UsageError(f"{path}: row {row}: vertex index {index!r} is not an integer")
+        if int(index) in fixed:
+            raise UsageError(f"{path}: row {row} repeats vertex {int(index)}")
+        fixed[int(index)] = value
+    return BoundaryCondition(fixed)
 
 
 def _write_plot_data(path, series: dict[str, np.ndarray]) -> None:

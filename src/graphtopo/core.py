@@ -318,11 +318,10 @@ def eig_sym(m) -> SpectralDecomp:
     (M + M') / 2 first; anything farther from symmetric is rejected.
     """
     vals, vecs = np.linalg.eigh(as_symmetric(m))
-    for k in range(vecs.shape[1]):
+    if vecs.size:
         # argmax returns the first occurrence, which is the tie rule.
-        lead = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
+        lead = np.argmax(np.abs(vecs), axis=0)
+        vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return SpectralDecomp(vals, vecs)
 
 

@@ -251,6 +251,21 @@ class TestExitCodes:
                 assert run(*argv, *outputs) == 0
 
 
+    @pytest.mark.parametrize("command", ["circuit", "absorb", "propagate"])
+    @pytest.mark.parametrize("rows,err", [
+        ("0,0\n0,1\n7,1\n", "row 2 repeats vertex 0"),
+        ("0.7,0\n7,1\n", "row 1: vertex index 0.7 is not an integer"),
+    ], ids=["repeated-index", "fractional-index"])
+    def test_bad_bc_index_exits_one(self, command, rows, err, tmp_path, monkeypatch,
+                                    inputs, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bc.csv").write_text(rows)
+        assert run("solve", command, "--graph", inputs / "bench8.json", "--bc", "bc.csv",
+                   "--out", "out.csv", "--report", "r.json") == 1
+        assert capsys.readouterr().err == f"error: bc.csv: {err}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bc.csv"]
+
+
 class TestRegressReport:
     def test_unconverged_rows_reported(self, tmp_path, monkeypatch, inputs):
         monkeypatch.chdir(tmp_path)
