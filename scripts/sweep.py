@@ -2,14 +2,15 @@
 checkout, and write the results as JSON.
 
     python scripts/sweep.py --baseline ../parent/src --out BENCH.json \\
-        [--rounds 5] [--case NAME ...]
+        [--rounds 5] [--case NAME]...
 
-CASES is the table: one row per case, and --case picks rows by name
-(default: all). A row names the graphtopo function it times ("module.function"),
-its parameters, a seeded builder of the calls' arguments (built untimed; n
-sizes the input), and an outcome function that digests the answers. To time
-a new kernel, add one row per size to CASES, with a builder and, unless the
-answers are float arrays, an outcome function.
+CASES is the table, one row per case; --case picks rows by name (default:
+all). A row names the graphtopo function it times ("module.function"), its
+parameters (n sizes the input), a seeded builder of the calls' arguments,
+run untimed, and an outcome function that digests the answers. To time a
+new kernel, add one `rows(...)` entry to CASES: a name prefix (cases are
+named prefix_n), the function, a builder and, unless the answers are float
+arrays, an outcome function.
 
 Each round runs the chosen cases once in a fresh interpreter per checkout,
 with OPENBLAS_NUM_THREADS=1; the checkout that runs first swaps every round.
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", required=True, help="src directory of the baseline checkout")
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--case", action="append", choices=list(CASES),
+    ap.add_argument("--case", action="append", choices=list(CASES), metavar="NAME",
                     help="run only this case (repeatable; default: all)")
     args = ap.parse_args(argv)
     names = args.case or list(CASES)

@@ -250,7 +250,6 @@ class TestExitCodes:
             for argv in commands:
                 assert run(*argv, *outputs) == 0
 
-
     @pytest.mark.parametrize("command", ["circuit", "absorb", "propagate"])
     @pytest.mark.parametrize("rows,err", [
         ("0,0\n0,1\n7,1\n", "row 2 repeats vertex 0"),
