@@ -152,6 +152,11 @@ def polyfit_calls(c: dict):
     return [((correlation_matrix(signals(c)), PolyFitConfig(c["order"])), {})]
 
 
+def lattice_calls(c: dict):
+    from graphtopo.lattice import Lattice
+    return [((Lattice(c["dims"]),), {})]
+
+
 def csv_write_calls(c: dict):
     return [(("signals.csv", signals(c)), {})]
 
@@ -216,6 +221,16 @@ def cuts_outcome(answers, call) -> dict:
     return sums([labels], call)
 
 
+def adjacency_outcome(answers, call) -> dict:
+    w = answers[0].w
+    return {"result": digest([w], w.sum())}
+
+
+def gdft_outcome(answers, call) -> dict:
+    d = answers[0]
+    return {"result": digest([d.eigenvalues, d.eigenvectors], d.eigenvalues.sum())}
+
+
 def written_outcome(answers, call) -> dict:
     data = Path(call[0][0]).read_bytes()
     return {"result": digest([np.frombuffer(data, np.uint8)], len(data))}
@@ -276,6 +291,14 @@ CASES.update({
     **rows("csv_read", "io.read_matrix_csv", csv_read_calls, sizes=UP_TO_1000,
            signals="diffusion", p=P),
 })
+
+LATTICE_DIMS = {25: (5, 5), 50: (5, 10), 100: (10, 10), 300: (10, 30), 1000: (10, 10, 10)}
+for prefix, kernel, outcome in (
+        ("lattice_adjacency", "lattice.kron_sum_adjacency", adjacency_outcome),
+        ("lattice_gdft", "lattice.separable_gdft", gdft_outcome)):
+    CASES.update({f"{prefix}_{n}": Case(kernel, {"n": n, "dims": dims}, lattice_calls,
+                                        outcome, traced=True)
+                  for n, dims in LATTICE_DIMS.items()})
 
 
 # ------------------------------------------------------------------ runner

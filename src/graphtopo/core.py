@@ -110,10 +110,6 @@ class Graph:
         """Vertex degrees d_n = sum_m W[n, m]."""
         return self.w.sum(axis=1)
 
-    def adjacency(self) -> np.ndarray:
-        """0/1 adjacency: 1 wherever an edge has positive weight."""
-        return (self.w > 0).astype(float)
-
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -140,9 +136,6 @@ class DirectedGraph:
     def from_weights(cls, w) -> "DirectedGraph":
         w = _as_square(w, "weight matrix")
         return cls(w.shape[0], w)
-
-    def out_degrees(self) -> np.ndarray:
-        return self.w.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -349,7 +349,9 @@ def sparse_source_denoise(l: Laplacian, y, k: int, reference: int) -> np.ndarray
     keep = np.delete(np.arange(n), reference)
     chosen = keep[np.argsort(-np.abs((l.l @ y)[keep]), kind="stable")[:k]]
 
-    cols = circuit_solve(l, BoundaryCondition({reference: 0.0}), np.eye(n)[:, chosen])[keep]
+    units = np.zeros((n, k))
+    units[chosen, np.arange(k)] = 1.0
+    cols = circuit_solve(l, BoundaryCondition({reference: 0.0}), units)[keep]
     # written into zeros, so x[reference] stays +0.0
     x = np.zeros(n)
     x[keep] = cols @ (np.linalg.pinv(cols) @ y[keep])

@@ -77,6 +77,81 @@ def two_components(rng, a: int, b: int):
     return w, np.flatnonzero(perm < a).tolist(), np.flatnonzero(perm >= a).tolist()
 
 
+def _edge_fault(change):
+    """A fault that rewrites one edge, picked at random, of the list."""
+    def fault(rng, n, edges):
+        k = int(rng.integers(len(edges)))
+        edges = [*edges[:k], change(rng, n, list(edges[k])), *edges[k + 1:]]
+        return json.dumps({"n": n, "edges": edges})
+    return fault
+
+
+def _truncated(rng, n, edges):
+    text = json.dumps({"n": n, "edges": edges})
+    return text[:int(rng.integers(len(text)))]
+
+
+# Each takes (rng, n, edges) of a well-formed graph and returns graph JSON
+# text that every graph-reading command must refuse.
+GRAPH_FAULTS = {
+    "truncated": _truncated,
+    "top-level-list": lambda rng, n, edges: json.dumps(edges),
+    "missing-n": lambda rng, n, edges: json.dumps({"edges": edges}),
+    "negative-n": lambda rng, n, edges: json.dumps({"n": -n, "edges": edges}),
+    "fractional-n": lambda rng, n, edges: json.dumps({"n": n + 0.5, "edges": edges}),
+    "repeated-pair": lambda rng, n, edges: json.dumps(
+        {"n": n, "edges": [*edges, [*edges[0][:2], edges[0][2] + 1.0]]}),
+    "no-weight": _edge_fault(lambda rng, n, e: e[:2]),
+    "null-weight": _edge_fault(lambda rng, n, e: [*e[:2], None]),
+    "string-weight": _edge_fault(lambda rng, n, e: [*e[:2], "1.0"]),
+    "non-finite-weight": _edge_fault(
+        lambda rng, n, e: [*e[:2], float(rng.choice([np.nan, np.inf, -np.inf]))]),
+    "negative-weight": _edge_fault(lambda rng, n, e: [*e[:2], -e[2] - 0.1]),
+    "self-loop": _edge_fault(lambda rng, n, e: [e[0], e[0], 1.0]),
+    "out-of-range": _edge_fault(
+        lambda rng, n, e: [e[0], int(rng.choice([-1, n + int(rng.integers(3))])), e[2]]),
+    "fractional-index": _edge_fault(lambda rng, n, e: [e[0], e[1] + 0.5, e[2]]),
+    "boolean-index": _edge_fault(lambda rng, n, e: [e[0], True, e[2]]),
+}
+GRAPH_COMMANDS = [("metro", "centrality"), ("solve", "pagerank"),
+                  ("solve", "hitting", "--target", "0"),
+                  ("lattice", "subsample", "--keep", "0")]
+
+
+def _row_fault(change):
+    """A fault that rewrites one row, picked at random, of the tokens."""
+    def fault(rng, tokens):
+        k = int(rng.integers(len(tokens)))
+        rows = [*tokens[:k], change(rng, list(tokens[k])), *tokens[k + 1:]]
+        return "".join(",".join(row) + "\n" for row in rows)
+    return fault
+
+
+def _token_fault(bad):
+    def change(rng, row):
+        row[int(rng.integers(len(row)))] = str(rng.choice(bad))
+        return row
+    return _row_fault(change)
+
+
+# Each takes (rng, tokens) of a well-formed matrix, at least 2 x 2, and
+# returns CSV text that every matrix reader must refuse.
+CSV_FAULTS = {
+    "blank": lambda rng, tokens: "\n" * int(rng.integers(3)),
+    "short-row": _row_fault(lambda rng, row: row[:-1]),
+    "long-row": _row_fault(lambda rng, row: [*row, "1.0"]),
+    "non-finite": _token_fault(["nan", "inf", "-inf", "NaN", "Infinity"]),
+    "not-a-number": _token_fault(["", "x", "1e", ".", "1 2", "0x1"]),
+}
+CSV_COMMANDS = [
+    ("learn", "glasso", "--rho", "0.1", "--corr", "{d}/bad.csv", "--out", "{d}/out.csv"),
+    ("learn", "regress", "--rho", "0.1", "--obs", "{d}/bad.csv", "--out-w", "{d}/w.csv"),
+    ("learn", "smooth", "--alpha", "1", "--beta", "1", "--obs", "{d}/bad.csv",
+     "--out-w", "{d}/w.csv"),
+    ("portfolio", "cut", "--returns", "{d}/bad.csv", "--out", "{d}/out.csv"),
+]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run("--bogus") == 1
@@ -115,6 +190,16 @@ class TestExitCodes:
     def test_bad_flag_value(self, tmp_path, monkeypatch, inputs, capsys):
         monkeypatch.chdir(tmp_path)
         assert run("lattice", "gdft", "--dims", "3,x") == 1
+
+    @pytest.mark.parametrize("command", [("gen", "lattice", "--out", "g.json"),
+                                         ("lattice", "gdft", "--out-u", "u.csv",
+                                          "--out-lam", "lam.csv")], ids=["gen", "gdft"])
+    def test_lattice_over_vertex_limit_exits_one(self, command, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*command, "--dims", "65,65", "--report", "r.json") == 1
+        assert "4225" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,edges", [
         (["solve", "hitting", "--target", "2"], [[0, 1, 1.0], [1, 2, np.nan]]),
@@ -182,6 +267,37 @@ class TestExitCodes:
         assert run(*argv, "--report", "r.json") == 1
         assert capsys.readouterr().err == f"error: bad.csv: non-finite value in row {len(m)}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.sampled_from(sorted(GRAPH_FAULTS)),
+           st.sampled_from(GRAPH_COMMANDS), st.integers(0, 2**32 - 1))
+    def test_any_malformed_graph_json_exits_one(self, n, fault, command, seed):
+        rng = np.random.default_rng(seed)
+        edges = [[i, i + 1, float(rng.uniform(0.1, 2.0))] for i in range(n - 1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "g.json").write_text(GRAPH_FAULTS[fault](rng, n, edges))
+            err = StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(*command, "--graph", d / "g.json", "--out", d / "out.csv",
+                           "--report", d / "r.json") == 1
+            assert err.getvalue().startswith("error: ") and "\n" not in err.getvalue().strip()
+            assert sorted(p.name for p in d.iterdir()) == ["g.json"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6), st.sampled_from(sorted(CSV_FAULTS)),
+           st.sampled_from(CSV_COMMANDS), st.integers(0, 2**32 - 1))
+    def test_any_malformed_matrix_csv_exits_one(self, rows, cols, fault, command, seed):
+        rng = np.random.default_rng(seed)
+        tokens = [[repr(float(v)) for v in row] for row in rng.normal(size=(rows, cols))]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "bad.csv").write_text(CSV_FAULTS[fault](rng, tokens))
+            err = StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(*(a.format(d=d) for a in command), "--report", d / "r.json") == 1
+            assert err.getvalue().startswith("error: ") and "\n" not in err.getvalue().strip()
+            assert sorted(p.name for p in d.iterdir()) == ["bad.csv"]
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))

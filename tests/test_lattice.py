@@ -94,6 +94,13 @@ class TestKronSumAdjacency:
         with pytest.raises(ValueError, match="limit"):
             kron_sum_adjacency(Lattice((400, 300)))
 
+    @pytest.mark.parametrize("build", [kron_sum_adjacency, separable_gdft])
+    def test_dense_limit_is_4096_vertices(self, build):
+        # one n x n float64 array is 128 MiB at the limit
+        with pytest.raises(ValueError, match="limit") as err:
+            build(Lattice((65, 65)))
+        assert "4225" in str(err.value)
+
 
 class TestSeparableGdft:
     def test_single_axis_matches_direct_decomposition(self):
