@@ -19,7 +19,8 @@ rounds, so the tracing does not slow the timed calls.
 
 The JSON holds "machine", "same_results" and "timings": one entry per
 checkout and case, giving the kernel, the checkout's git sha and whether its
-source tree had uncommitted changes, the case (name and parameters), the
+source tree had uncommitted changes (both null for a baseline outside a git
+work tree, such as a `git archive` export), the case (name and parameters), the
 median, min and max seconds over the rounds and the round count, the
 tracemalloc peak of traced rows, "iterations" and "converged" where the
 kernel reports them, and "result": a SHA-256 of the answers' bytes and one
@@ -251,10 +252,10 @@ SIZES = (25, 50, 100, 300)
 UP_TO_1000 = (*SIZES, 1000)
 
 
-def rows(prefix: str, kernel: str, build, outcome=sums, sizes=SIZES,
+def rows(prefix: str, kernel: str, build, outcome=sums, sizes=SIZES, traced=False,
          **params) -> dict[str, Case]:
     """One case per size n, named prefix_n."""
-    return {f"{prefix}_{n}": Case(kernel, {"n": n, **params}, build, outcome)
+    return {f"{prefix}_{n}": Case(kernel, {"n": n, **params}, build, outcome, traced)
             for n in sizes}
 
 
@@ -287,8 +288,8 @@ CASES.update({
     **rows("cuts", "portfolio.repeated_cuts", cuts_calls, cuts_outcome, UP_TO_1000, cuts=6),
     **rows("circuit", "physical.circuit_solve", circuit_calls, sizes=UP_TO_1000),
     **rows("csv_write", "io.write_matrix_csv", csv_write_calls, written_outcome, UP_TO_1000,
-           signals="diffusion", p=P),
-    **rows("csv_read", "io.read_matrix_csv", csv_read_calls, sizes=UP_TO_1000,
+           traced=True, signals="diffusion", p=P),
+    **rows("csv_read", "io.read_matrix_csv", csv_read_calls, sizes=UP_TO_1000, traced=True,
            signals="diffusion", p=P),
 })
 
@@ -336,11 +337,16 @@ def spawn(src: Path, measure: str, names: list[str]) -> dict:
 
 
 def checkout_info(src: Path) -> dict:
+    """The git sha of src's checkout and whether its tree under src has
+    uncommitted changes; both None for a directory outside a git work tree,
+    such as a `git archive` export."""
     def git(*args):
-        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, check=True).stdout.strip()
-    return {"git_sha": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "."))}
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return {"git_sha": None, "dirty": None}
+    return {"git_sha": head.stdout.strip(),
+            "dirty": bool(git("status", "--porcelain", ".").stdout.strip())}
 
 
 def main(argv=None) -> int:
@@ -354,6 +360,7 @@ def main(argv=None) -> int:
     names = args.case or list(CASES)
     traced = [name for name in names if CASES[name].traced]
     srcs = {"baseline": Path(args.baseline).resolve(), "change": CHANGE_SRC}
+    infos = {label: checkout_info(src) for label, src in srcs.items()}
     runs: dict[str, list] = {label: [] for label in srcs}
     for r in range(args.rounds):
         for label, src in list(srcs.items())[::1 if r % 2 == 0 else -1]:
@@ -362,8 +369,7 @@ def main(argv=None) -> int:
     peaks = {label: spawn(src, "memory", traced) if traced else {}
              for label, src in srcs.items()}
     timings = []
-    for label, src in srcs.items():
-        info = checkout_info(src)
+    for label, info in infos.items():
         for name in names:
             passes = runs[label] + ([peaks[label]] if name in peaks[label] else [])
             outcome = passes[0][name][1]

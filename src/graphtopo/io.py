@@ -8,10 +8,12 @@ vertex indices.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +36,16 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file + rename in the same directory."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file whose content replaces path only when the block exits
+    without an error: written to a temp file in the same directory, then
+    renamed over path."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,20 +53,42 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def format_csv(m) -> str:
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via a temp file + rename in the same directory."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+# The most values one CSV write formats at once, so that writing a matrix
+# holds a block of rows as Python objects, never the whole matrix.
+_CSV_BLOCK = 1 << 10
+
+
+def _write_csv(fh, m) -> None:
+    """m as CSV rows, a block of rows per write; no rows is one blank line."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    lines = [",".join(map(repr, row)) for row in m.tolist()]
-    return "\n".join(lines) + "\n"
+    if not m.shape[0]:
+        fh.write("\n")
+    step = max(1, _CSV_BLOCK // max(1, m.shape[1]))
+    for first in range(0, m.shape[0], step):
+        fh.write("".join(",".join(map(repr, row)) + "\n"
+                         for row in m[first:first + step].tolist()))
+
+
+def format_csv(m) -> str:
+    buf = StringIO()
+    _write_csv(buf, m)
+    return buf.getvalue()
 
 
 def write_matrix_csv(path, m) -> None:
-    atomic_write_text(path, format_csv(m))
+    with _atomic_file(path) as fh:
+        _write_csv(fh, m)
 
 
 def write_vector_csv(path, v) -> None:
     """Vectors are written one value per line."""
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    atomic_write_text(path, format_csv(v))
+    write_matrix_csv(path, np.asarray(v, dtype=float).reshape(-1, 1))
 
 
 def read_matrix_csv(path) -> np.ndarray:

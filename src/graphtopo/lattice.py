@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 # One n x n float64 array at this size is 128 MiB. `lattice gdft` peaks at
-# about 77 bytes per entry, 1.3 GB here, mostly in writing U as CSV.
+# about 17 bytes per entry, 287 MB here: U is written as CSV a block of rows
+# at a time, so the dense arrays set the peak.
 _MAX_VERTICES = 4_096
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Graph, Laplacian, NumericalError, eig_sym
-from .solvers import LassoConfig, lasso_gram
 
 __all__ = [
     "ObservationMatrix",
@@ -134,6 +133,10 @@ def neighborhood_regression(x, rho: float, max_iter: int = 1000,
         if signalled.size < 2:
             row = signalled[0] if signalled.size else 0
             raise ValueError(f"vertex {row}: every other vertex signal is zero")
+        # each command loads only the modules it runs (cli's lazy loading, see
+        # test_learning_without_a_lasso_loads_no_solvers), so the lasso routes
+        # import solvers here
+        from .solvers import LassoConfig, lasso_gram
         s = arr @ arr.T
         res = lasso_gram(s, s, LassoConfig(rho=rho, max_iter=max_iter, tol=tol),
                          leave_one_out=True)
@@ -375,6 +378,7 @@ def learn_from_sources(x, j, rho: float | None = None,
     else:
         if rho is None:
             raise ValueError("rho is required when P < N-1")
+        from .solvers import LassoConfig, lasso_gram
         # row k of the reduced Laplacian is column k of one lasso block
         res = lasso_gram(x_red @ x_red.T, x_red @ j_red.T, LassoConfig(rho=rho))
         l_red = res.coefficients.T

@@ -103,11 +103,6 @@ def betweenness(g: Graph) -> np.ndarray:
     return out
 
 
-def _popcount(bits: np.ndarray, axis=None):
-    # set bits per row (axis=1) or in all; np.bitwise_count needs numpy 2
-    return np.count_nonzero(np.unpackbits(bits.view(np.uint8), axis=-1), axis=axis)
-
-
 def _hop_sum(sk: _Skeleton, frontier: np.ndarray, unseen: np.ndarray) -> tuple[int, int]:
     """Breadth-first search from every source at once, one bit per source.
 
@@ -117,26 +112,18 @@ def _hop_sum(sk: _Skeleton, frontier: np.ndarray, unseen: np.ndarray) -> tuple[i
     over the ordered (source, vertex) pairs reached, the source itself
     excluded.
     """
-    pairs = int(_popcount(unseen))
-    # each pair is first reached at exactly one level, so the hop sum is
-    # sum_b 2^b |pairs first reached at a level with bit b set|, and
-    # acc[b] collects those pairs: no popcount per level
-    acc = []
-    level = 0
+    pairs = int(np.bitwise_count(unseen).sum())
+    total = level = 0
     while True:
         level += 1
         frontier = sk.gather(np.bitwise_or, frontier)
         frontier &= unseen
-        if not frontier.any():
+        reached = int(np.bitwise_count(frontier).sum())
+        if not reached:
             break
         unseen ^= frontier
-        if level.bit_length() > len(acc):
-            acc.append(np.zeros_like(frontier))
-        for b in range(level.bit_length()):
-            if level >> b & 1:
-                acc[b] |= frontier
-    total = sum(int(_popcount(a)) << b for b, a in enumerate(acc))
-    return total, pairs - int(_popcount(unseen))
+        total += level * reached
+    return total, pairs - int(np.bitwise_count(unseen).sum())
 
 
 def closeness_vitality(g: Graph) -> np.ndarray:
@@ -157,7 +144,7 @@ def closeness_vitality(g: Graph) -> np.ndarray:
     # totals over ordered pairs, so every unordered pair counts twice
     base_sum, base_pairs = _hop_sum(sk, eye, unseen)
     # base pairs that involve each vertex, itself excluded
-    reach = _popcount(~unseen, axis=1) - 1
+    reach = np.bitwise_count(~unseen).sum(axis=1, dtype=np.int64) - 1
     for v in range(n):
         # delete v: its search never starts and no search enters it
         frontier, unseen = eye.copy(), ~eye

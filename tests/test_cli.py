@@ -118,20 +118,29 @@ GRAPH_COMMANDS = [("metro", "centrality"), ("solve", "pagerank"),
                   ("lattice", "subsample", "--keep", "0")]
 
 
+def _csv(rows) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def _row_fault(change):
     """A fault that rewrites one row, picked at random, of the tokens."""
     def fault(rng, tokens):
         k = int(rng.integers(len(tokens)))
-        rows = [*tokens[:k], change(rng, list(tokens[k])), *tokens[k + 1:]]
-        return "".join(",".join(row) + "\n" for row in rows)
+        return _csv([*tokens[:k], change(rng, list(tokens[k])), *tokens[k + 1:]])
     return fault
 
 
+def _entry_fault(bad):
+    """A change that replaces one entry, picked at random, of a list by a bad token."""
+    def change(rng, items):
+        items = list(items)
+        items[int(rng.integers(len(items)))] = str(rng.choice(bad))
+        return items
+    return change
+
+
 def _token_fault(bad):
-    def change(rng, row):
-        row[int(rng.integers(len(row)))] = str(rng.choice(bad))
-        return row
-    return _row_fault(change)
+    return _row_fault(_entry_fault(bad))
 
 
 # Each takes (rng, tokens) of a well-formed matrix, at least 2 x 2, and
@@ -150,6 +159,51 @@ CSV_COMMANDS = [
      "--out-w", "{d}/w.csv"),
     ("portfolio", "cut", "--returns", "{d}/bad.csv", "--out", "{d}/out.csv"),
 ]
+
+
+# Each takes (rng, rows) of well-formed --bc pins, [index, value] string rows
+# with distinct indices among the 8 vertices of the bench graph, and returns
+# CSV text that every pinning command must refuse.
+BC_FAULTS = {
+    "repeated-index": lambda rng, rows: _csv([*rows, [rows[int(rng.integers(len(rows)))][0],
+                                                      "0.5"]]),
+    "fractional-index": _row_fault(lambda rng, row: [f"{row[0]}.5", row[1]]),
+    "out-of-range-index": _row_fault(lambda rng, row: [
+        str(rng.choice([-1 - int(rng.integers(3)), 8 + int(rng.integers(3))])), row[1]]),
+    "one-column": lambda rng, rows: _csv(row[:1] for row in rows),
+    "three-columns": lambda rng, rows: _csv([*row, "1.0"] for row in rows),
+    "non-finite-value": _row_fault(
+        lambda rng, row: [row[0], str(rng.choice(["nan", "inf", "-inf"]))]),
+}
+BC_COMMANDS = ["circuit", "absorb", "propagate"]
+
+
+# Each takes (rng, kept) of a well-formed --keep list, strictly increasing
+# vertex indices of the 8-vertex bench graph as strings, and returns a list
+# that `lattice subsample` must refuse.
+KEEP_FAULTS = {
+    "non-integer": _entry_fault(["1.5", "x", "", "2e0"]),
+    "not-increasing": lambda rng, kept: [*kept, rng.choice(kept)],
+    "negative": lambda rng, kept: [str(-1 - int(rng.integers(3))), *kept],
+    "out-of-range": lambda rng, kept: [*kept, str(8 + int(rng.integers(3)))],
+}
+
+
+def _over_limit(rng, dims):
+    # one more extent that takes the vertex count past 4,096
+    n = int(np.prod([int(d) for d in dims]))
+    return [*dims, str(-(-4097 // n) + int(rng.integers(3)))]
+
+
+# Each takes (rng, dims) of a well-formed --dims list, extents from 1 to 6 as
+# strings, and returns a list that `gen lattice` and `lattice gdft` must refuse.
+DIMS_FAULTS = {
+    "non-integer": _entry_fault(["2.5", "x", "", "3e0"]),
+    "zero": _entry_fault(["0"]),
+    "over-vertex-limit": _over_limit,
+}
+DIMS_COMMANDS = [("gen", "lattice", "--out", "{d}/out.json"),
+                 ("lattice", "gdft", "--out-u", "{d}/u.csv", "--out-lam", "{d}/lam.csv")]
 
 
 class TestExitCodes:
@@ -379,6 +433,64 @@ class TestExitCodes:
                    "--out", "out.csv", "--report", "r.json") == 1
         assert capsys.readouterr().err == f"error: bc.csv: {err}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bc.csv"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(sorted(BC_FAULTS)), st.sampled_from(BC_COMMANDS),
+           st.integers(0, 2**32 - 1))
+    def test_any_malformed_bc_rows_exit_one(self, pins, fault, command, seed):
+        # the well-formed rows pin distinct vertices of the 8-vertex bench
+        # graph, and the command runs on them
+        rng = np.random.default_rng(seed)
+        rows = [[str(v), repr(float(rng.integers(2)))]
+                for v in rng.choice(8, size=pins, replace=False).tolist()]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            io.write_graph_json(d / "g.json", Graph.from_weights(weights_from_edges(8, BENCH8_EDGES)))
+            argv = ("solve", command, "--graph", d / "g.json", "--bc", d / "bc.csv",
+                    "--out", d / "out.csv", "--report", d / "r.json")
+            (d / "bc.csv").write_text(_csv(rows))
+            assert run(*argv) == 0
+            (d / "out.csv").unlink()
+            (d / "r.json").unlink()
+            (d / "bc.csv").write_text(BC_FAULTS[fault](rng, rows))
+            err = StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(*argv) == 1
+            assert err.getvalue().startswith("error: ") and "\n" not in err.getvalue().strip()
+            assert sorted(p.name for p in d.iterdir()) == ["bc.csv", "g.json"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.integers(0, 7), min_size=1), st.sampled_from(sorted(KEEP_FAULTS)),
+           st.integers(0, 2**32 - 1))
+    def test_any_malformed_keep_list_exits_one(self, kept, fault, seed):
+        rng = np.random.default_rng(seed)
+        keep = KEEP_FAULTS[fault](rng, [str(k) for k in sorted(kept)])
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            io.write_graph_json(d / "g.json", Graph.from_weights(weights_from_edges(8, BENCH8_EDGES)))
+            err = StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run("lattice", "subsample", "--graph", d / "g.json",
+                           f"--keep={','.join(keep)}", "--out", d / "out.json",
+                           "--report", d / "r.json") == 1
+            assert err.getvalue().startswith("error: ") and "\n" not in err.getvalue().strip()
+            assert sorted(p.name for p in d.iterdir()) == ["g.json"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           st.sampled_from(sorted(DIMS_FAULTS)), st.sampled_from(DIMS_COMMANDS),
+           st.integers(0, 2**32 - 1))
+    def test_any_malformed_dims_list_exits_one(self, dims, fault, command, seed):
+        rng = np.random.default_rng(seed)
+        text = ",".join(DIMS_FAULTS[fault](rng, [str(i) for i in dims]))
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            err = StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(*(a.format(d=d) for a in command), f"--dims={text}",
+                           "--report", d / "r.json") == 1
+            assert err.getvalue().startswith("error: ") and "\n" not in err.getvalue().strip()
+            assert list(d.iterdir()) == []
 
 
 class TestRegressReport:
@@ -856,6 +968,17 @@ class TestLazyLoading:
         loaded = loaded_modules(dispatch_code(argv), cwd=tmp_path)
         assert "graphtopo.solvers" in loaded
         assert not {"graphtopo.physical", "graphtopo.simulate", "graphtopo.verify"} & set(loaded)
+
+    @pytest.mark.parametrize("argv", [
+        ("learn", "polyfit", "--obs", "{d}/obs.csv", "--order", "2"),
+        ("learn", "smooth", "--obs", "{d}/obs.csv", "--alpha", "1.0", "--beta", "0.5"),
+        ("gen", "signal", "--graph", "{d}/bench8.json", "--mode", "diffusion",
+         "--params", '{{"h": [0.3, 0.2, 0.5]}}', "--seed", "0", "--p", "3"),
+    ], ids=["polyfit", "smooth", "diffusion-signal"])
+    def test_learning_without_a_lasso_loads_no_solvers(self, argv, inputs, tmp_path):
+        argv = [a.format(d=inputs) for a in argv]
+        loaded = loaded_modules(dispatch_code(argv), cwd=tmp_path)
+        assert "graphtopo.learning" in loaded and "graphtopo.solvers" not in loaded
 
     def test_exports_resolve_to_submodule_attributes(self):
         # graphtopo.simulate is loaded before any package name is read, and

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,3 +163,31 @@ def test_format_csv_bytes_match_elementwise_formatter():
               rng.integers(-50, 50, (4, 6)), np.array(2.5)):
         assert format_csv(m) == _elementwise_csv(m)
     assert format_csv(edge[:1]) == "-0.0,0.0,5e-324,-5e-324\n"
+
+
+@pytest.mark.parametrize("shape", [(3000, 3), (9, 1000), (5000, 1), (0, 3), (1, 0), (4,)],
+                         ids=["many-blocks", "wide", "column", "no-rows", "no-columns", "1-d"])
+def test_streamed_csv_writes_match_format_csv(shape, tmp_path):
+    # rows go to the file a block at a time; the bytes are those of the
+    # whole-matrix text, including the lone newline of a matrix without rows
+    m = np.random.default_rng(6).normal(size=shape)
+    write_matrix_csv(tmp_path / "m.csv", m)
+    assert (tmp_path / "m.csv").read_text() == format_csv(m) == _elementwise_csv(m)
+    write_vector_csv(tmp_path / "v.csv", m)
+    assert (tmp_path / "v.csv").read_text() == format_csv(m.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("write,shape", [(write_matrix_csv, (100, 500)),
+                                         (write_vector_csv, (50_000,))],
+                         ids=["matrix", "vector"])
+def test_csv_write_holds_a_block_not_the_matrix(write, shape, tmp_path):
+    # the whole matrix as Python floats, row strings and joined text would
+    # take several times the array's own bytes
+    m = np.random.default_rng(7).normal(size=shape)
+    tracemalloc.start()
+    try:
+        write(tmp_path / "m.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 2
