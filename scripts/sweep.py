@@ -102,6 +102,10 @@ def graph_calls(c: dict):
     return [((connected_graph(c["n"]),), {})]
 
 
+def laplacian_calls(c: dict):
+    return [((connected_graph(c["n"]), c["kind"]), {})] * c["calls"]
+
+
 def cuts_calls(c: dict):
     return [((connected_graph(c["n"]), c["cuts"]), {})]
 
@@ -222,6 +226,11 @@ def cuts_outcome(answers, call) -> dict:
     return sums([labels], call)
 
 
+def laplacian_outcome(answers, call) -> dict:
+    l = answers[0].l
+    return {"result": digest([l], l.sum())}
+
+
 def adjacency_outcome(answers, call) -> dict:
     w = answers[0].w
     return {"result": digest([w], w.sum())}
@@ -287,6 +296,8 @@ CASES.update({
            signals="sources", p=P),
     **rows("cuts", "portfolio.repeated_cuts", cuts_calls, cuts_outcome, UP_TO_1000, cuts=6),
     **rows("circuit", "physical.circuit_solve", circuit_calls, sizes=UP_TO_1000),
+    **rows("laplacian_normalized", "core.laplacian", laplacian_calls, laplacian_outcome,
+           UP_TO_1000, kind="normalized", calls=10),
     **rows("csv_write", "io.write_matrix_csv", csv_write_calls, written_outcome, UP_TO_1000,
            traced=True, signals="diffusion", p=P),
     **rows("csv_read", "io.read_matrix_csv", csv_read_calls, sizes=UP_TO_1000, traced=True,

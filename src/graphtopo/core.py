@@ -34,6 +34,9 @@ __all__ = [
 # Relative tolerance below which a matrix is accepted as symmetric.
 SYM_TOL = 1e-9
 
+# Relative size at or below which a singular value counts as zero.
+RANK_TOL = 1e-10
+
 # The generation modes of graphtopo.simulate. They are named here so that
 # the CLI can offer them as choices without loading simulate.
 SIGNAL_MODES = ("sources", "dipole", "pinned_pair", "diffusion",
@@ -58,7 +61,7 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(max(m.max(), -m.min())) if m.size else 0.0
 
 
 def as_symmetric(m, name: str = "matrix") -> np.ndarray:
@@ -67,9 +70,12 @@ def as_symmetric(m, name: str = "matrix") -> np.ndarray:
     m = _as_square(m, name)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
-    if _max_abs(m - m.T) > SYM_TOL * max(_max_abs(m), 1.0):
+    # the asymmetry and the average share one n x n buffer
+    out = np.subtract(m, m.T)
+    if _max_abs(out) > SYM_TOL * max(_max_abs(m), 1.0):
         raise ValueError(f"{name} must be symmetric")
-    return (m + m.T) / 2.0
+    np.add(m, m.T, out=out)
+    return np.divide(out, 2.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -157,9 +163,8 @@ class Laplacian:
 
     def __post_init__(self):
         m = as_symmetric(self.l, "laplacian")
-        scale = max(_max_abs(m), 1.0)
         if self.check:
-            self._validate(m, scale)
+            self._validate(m, max(_max_abs(m), 1.0))
         m.flags.writeable = False
         object.__setattr__(self, "l", m)
 
@@ -283,9 +288,11 @@ def laplacian(g: Graph, kind: LaplacianKind = "combinatorial",
         Permit zero-degree vertices for the normalized kind. Their rows and
         columns are left zero (the diagonal entry is 0, not 1).
     """
+    # D - W and I - D^-1/2 W D^-1/2 of a validated graph meet every invariant
+    # Laplacian._validate tests, so it is skipped (a full eigvalsh if normalized)
     d = g.degrees()
     if kind == "combinatorial":
-        return Laplacian(np.diag(d) - g.w, kind="combinatorial")
+        return Laplacian(np.diag(d) - g.w, kind="combinatorial", check=False)
     if kind == "normalized":
         isolated = d <= 0
         if np.any(isolated) and not allow_isolated:
@@ -295,7 +302,7 @@ def laplacian(g: Graph, kind: LaplacianKind = "combinatorial",
         inv_sqrt[~isolated] = 1.0 / np.sqrt(d[~isolated])
         ln = -np.outer(inv_sqrt, inv_sqrt) * g.w
         np.fill_diagonal(ln, np.where(isolated, 0.0, 1.0))
-        return Laplacian(ln, kind="normalized")
+        return Laplacian(ln, kind="normalized", check=False)
     if kind == "generalized":
         raise ValueError("generalized laplacians are caller-supplied; "
                          "use Laplacian.generalized")
@@ -318,13 +325,12 @@ def eig_sym(m) -> SpectralDecomp:
     return SpectralDecomp(vals, vecs)
 
 
-def pseudo_inverse(m, rank_tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse.
 
-    Singular values below ``rank_tol`` times the largest are treated as zero.
+    Singular values at most ``RANK_TOL`` times the largest are treated as zero.
     """
-    m = _as_square(m)
-    return np.linalg.pinv(m, rcond=rank_tol)
+    return np.linalg.pinv(_as_square(m), rcond=RANK_TOL)
 
 
 def smoothness(l: Laplacian, x) -> float:

@@ -12,7 +12,6 @@ import contextlib
 import itertools
 import json
 import os
-import tempfile
 from io import StringIO
 from pathlib import Path
 
@@ -39,10 +38,11 @@ __all__ = [
 @contextlib.contextmanager
 def _atomic_file(path):
     """A text file whose content replaces path only when the block exits
-    without an error: written to a temp file in the same directory, then
-    renamed over path."""
+    without an error: written to a temp file in the same directory, with the
+    mode open(path, "w") would give (0666 less the umask), then renamed over path."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
@@ -94,18 +94,18 @@ def write_vector_csv(path, v) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """Rows of floats; ValueError on an empty or ragged file or on a NaN or
     infinity, whose row is counted from 1 over the non-blank lines."""
-    rows = []
+    def rows(fh):
+        commas = None
+        for line in filter(None, map(str.strip, fh)):
+            if commas is None:
+                commas = line.count(",")
+            elif line.count(",") != commas:
+                raise ValueError(f"{path}: ragged CSV rows")
+            yield line
+        if commas is None:
+            raise ValueError(f"{path}: empty CSV")
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged CSV rows")
-    m = np.array(rows, dtype=float)
+        m = np.loadtxt(rows(fh), delimiter=",", ndmin=2, comments=None)
     bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value in row {bad[0] + 1}")

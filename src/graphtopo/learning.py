@@ -31,7 +31,6 @@ class ObservationMatrix:
     """N x P matrix of vertex signals, one snapshot per column."""
 
     x: np.ndarray
-    center: bool = False
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -94,19 +93,16 @@ class PolyFitConfig:
         return 50 if self.m <= 2 else 25
 
 
-def _as_signal(x) -> tuple[np.ndarray, bool]:
+def _as_signal(x) -> np.ndarray:
     if isinstance(x, ObservationMatrix):
-        return x.x, x.center
-    arr = np.atleast_2d(np.asarray(x, dtype=float))
-    return arr, False
+        return x.x
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def correlation_matrix(x, center: bool | None = None) -> np.ndarray:
+def correlation_matrix(x, center: bool = False) -> np.ndarray:
     """Sample second-moment matrix X X' / P; subtracts per-vertex means
     first when centering is requested."""
-    arr, default_center = _as_signal(x)
-    if center is None:
-        center = default_center
+    arr = _as_signal(x)
     if center:
         arr = arr - arr.mean(axis=1, keepdims=True)
     return arr @ arr.T / arr.shape[1]
@@ -122,7 +118,7 @@ def neighborhood_regression(x, rho: float, max_iter: int = 1000,
     column n. A given ``report`` dict receives ``converged`` (every row lasso
     converged), ``unconverged_rows`` and ``iterations`` (the rows' total).
     """
-    arr, _ = _as_signal(x)
+    arr = _as_signal(x)
     n = arr.shape[0]
     b = np.zeros((n, n))
     unconverged: list[int] = []
@@ -208,14 +204,13 @@ class SmoothFit:
 
 
 def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
-                 l_step_iters: int = 20,
                  objective_trace: list | None = None) -> SmoothFit:
     """Alternating minimization of ||Y - X||_F^2 / 2 + alpha tr(Y'LY)
     + beta ||L||_F^2 over a valid Laplacian L and a smoothed signal Y.
 
-    The L-step runs projected gradient descent on the Laplacian constraint
-    set (trace N, zero row sums, non-positive off-diagonals); the Y-step is
-    the closed form Y = (I + alpha L)^{-1} X.
+    The L-step runs up to 20 steps of projected gradient descent on the
+    Laplacian constraint set (trace N, zero row sums, non-positive
+    off-diagonals); the Y-step is the closed form Y = (I + alpha L)^{-1} X.
 
     ``outer_iters`` is a cap. From the second outer iteration on, an L-step
     that accepts no candidate leaves L equal to the L that produced the
@@ -227,7 +222,7 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
         raise ValueError("alpha must be >= 0 and beta > 0")
     if outer_iters < 1:
         raise ValueError("outer_iters must be >= 1")
-    arr, _ = _as_signal(x)
+    arr = _as_signal(x)
     n = arr.shape[0]
     y = arr.copy()
     l = _project_laplacian_set(-(alpha / (2.0 * beta)) * (y @ y.T), n)
@@ -241,7 +236,7 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
         current = l_objective(l, yyt)
         step = 1.0 / (4.0 * beta)
         moved = False
-        for _ in range(l_step_iters):
+        for _ in range(20):
             grad = alpha * yyt + 2.0 * beta * l
             # accept a projected step only if it lowers the L objective,
             # otherwise halve; keeps the outer objective non-increasing
@@ -404,9 +399,9 @@ def learn_from_sources(x, j, rho: float | None = None,
 def laplacian_to_weights(l: Laplacian) -> np.ndarray:
     """Weight matrix implied by a Laplacian: negated off-diagonal part,
     clipped at zero."""
-    w = -np.asarray(l.l, dtype=float).copy()
+    w = -l.l
     np.fill_diagonal(w, 0.0)
-    return np.maximum((w + w.T) / 2.0, 0.0)
+    return np.maximum(w, 0.0, out=w)
 
 
 def weight_mse_db(w_est, w_true) -> float:

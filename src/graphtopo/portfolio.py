@@ -102,7 +102,7 @@ def market_graph(r: ReturnSeries) -> Graph:
         raise ValueError(f"asset {bad[0]} has zero variance")
     w = np.abs(sigma) / np.sqrt(np.outer(var, var))
     np.fill_diagonal(w, 0.0)
-    return Graph.from_weights((w + w.T) / 2.0)
+    return Graph.from_weights(w)
 
 
 def min_variance_weights(sigma) -> np.ndarray:

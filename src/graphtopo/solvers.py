@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, RankDeficiencyWarning, as_symmetric
+from .core import RANK_TOL, NumericalError, RankDeficiencyWarning, as_symmetric
 
 __all__ = [
     "LassoConfig",
@@ -75,7 +75,7 @@ def _shrink(y: np.ndarray, t) -> np.ndarray:
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
-def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> LassoResult:
+def lasso_gram(g, c, cfg: LassoConfig, leave_one_out: bool = False) -> LassoResult:
     """Minimize x'Gx - 2c'x + rho ||x||_1 by iterative soft-thresholding.
 
     With G = A'A and c = A'y this is the lasso ||y - Ax||^2 + rho ||x||_1 less its
@@ -85,22 +85,19 @@ def lasso_gram(g, c, cfg: LassoConfig, x0=None, leave_one_out: bool = False) -> 
     block is square and column k is solved on G without row and column k, so x[k, k]
     stays 0.
 
-    A column's step is 1/(2 lambda_max) of its Gram. The iterate starts at x0
-    (c by default) and each column stops on relative change below cfg.tol or
-    at cfg.max_iter.
+    A column's step is 1/(2 lambda_max) of its Gram. The iterate starts at c
+    and each column stops on relative change below cfg.tol or at cfg.max_iter.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
     c = np.asarray(c, dtype=float)
     if c.ndim > 2:
         raise ValueError("c must be a vector or a matrix")
-    if x0 is not None and np.shape(x0) != c.shape:
-        raise ValueError("x0 must have the shape of c")
     vector = c.ndim < 2
     c = c.reshape(-1, 1) if vector else c
     m, k = c.shape
     if g.shape != (m, m):
         raise ValueError("g must be square with one row per entry of c")
-    x = np.array(c if x0 is None else x0, dtype=float).reshape(c.shape)
+    x = np.array(c)
     if leave_one_out:
         if vector or k != m:
             raise ValueError("leave_one_out needs one column of c per row of g")
@@ -279,15 +276,15 @@ def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
     return q
 
 
-def precision_matrix(r, rank_tol: float = 1e-10) -> np.ndarray:
-    """Inverse of a symmetric matrix; falls back to the pseudo-inverse with a
-    RankDeficiencyWarning when the spectrum indicates rank deficiency."""
+def precision_matrix(r) -> np.ndarray:
+    """Inverse of a symmetric matrix; the pseudo-inverse, with a RankDeficiencyWarning,
+    when its smallest eigenvalue magnitude is at most RANK_TOL times the largest."""
     r = as_symmetric(r, "r")
     eigs = np.abs(np.linalg.eigvalsh(r))
-    if eigs.max() == 0.0 or eigs.min() <= rank_tol * eigs.max():
+    if eigs.max() == 0.0 or eigs.min() <= RANK_TOL * eigs.max():
         warnings.warn("matrix is rank deficient; returning the pseudo-inverse",
                       RankDeficiencyWarning)
-        return np.linalg.pinv(r, rcond=rank_tol, hermitian=True)
+        return np.linalg.pinv(r, rcond=RANK_TOL, hermitian=True)
     return np.linalg.inv(r)
 
 

@@ -236,8 +236,8 @@ CHECKS = [
 ]
 
 
-def run_suite(emit=print, check_s: dict | None = None) -> bool:
-    """Run every check; emit one line each; True iff all pass. A `check_s`
+def run_suite(check_s: dict | None = None) -> bool:
+    """Run every check; print one line each; True iff all pass. A `check_s`
     dict receives each check's wall time in seconds under its name."""
     all_ok = True
     for name, fn in CHECKS:
@@ -246,8 +246,8 @@ def run_suite(emit=print, check_s: dict | None = None) -> bool:
         if check_s is not None:
             check_s[name] = round(time.perf_counter() - t0, 6)
         if detail is None:
-            emit(f"ok {name}")
+            print(f"ok {name}")
         else:
             all_ok = False
-            emit(f"FAIL {name}: {detail}")
+            print(f"FAIL {name}: {detail}")
     return all_ok

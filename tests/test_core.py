@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,23 @@ class TestAsSymmetric:
     def test_rejection_names_the_input(self):
         with pytest.raises(ValueError, match="^widget must be symmetric$"):
             as_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), "widget")
+
+    def test_graph_construction_holds_one_n_by_n_buffer(self):
+        # the symmetrized weights are one n x n float array; the asymmetry
+        # is measured in that same buffer, and the finite and sign checks
+        # hold n x n bools (1/8 of a float each)
+        n = 500
+        x = np.random.default_rng(8).random((n, n))
+        w = x + x.T
+        np.fill_diagonal(w, 0.0)
+        tracemalloc.start()
+        try:
+            g = Graph.from_weights(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(g.w, w)
+        assert peak <= 1.25 * n * n * 8
 
 
 class TestPseudoInverse:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from graphtopo.cli import dispatch
 from graphtopo.core import DirectedGraph, Graph
 from graphtopo.io import (
+    atomic_write_text,
     directed_graph_from_json,
     format_csv,
     graph_from_json,
@@ -191,3 +193,31 @@ def test_csv_write_holds_a_block_not_the_matrix(write, shape, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < m.nbytes / 2
+
+
+def test_csv_read_holds_about_the_array(tmp_path):
+    # the parsed rows go straight into the array: no list of Python floats
+    m = np.random.default_rng(9).normal(size=(200, 1000))
+    write_matrix_csv(tmp_path / "m.csv", m)
+    tracemalloc.start()
+    try:
+        back = read_matrix_csv(tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, m)
+    assert peak <= 2 * m.nbytes
+
+
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+        write_graph_json(tmp_path / "g.json", Graph.from_weights(np.ones((2, 2)) - np.eye(2)))
+        atomic_write_text(tmp_path / "report.json", "{}\n")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["m.csv", "g.json", "report.json", "plain.txt"], 0o640)

@@ -5,7 +5,6 @@ from graphtopo import learning
 from graphtopo.core import Graph, Laplacian, NumericalError, eig_sym, laplacian
 from graphtopo.learning import (
     BetaMatrix,
-    ObservationMatrix,
     PolyFitConfig,
     correlation_matrix,
     laplacian_to_weights,
@@ -81,15 +80,6 @@ class TestCorrelationMatrix:
             r = correlation_matrix(x)
             assert np.max(np.abs(r - r.T)) < 1e-10
             assert np.linalg.eigvalsh(r)[0] > -1e-10
-
-    def test_observation_matrix_flag(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(3, 20)) + 2.0
-        om = ObservationMatrix(x, center=True)
-        np.testing.assert_allclose(correlation_matrix(om),
-                                   correlation_matrix(x, center=True))
-        np.testing.assert_allclose(correlation_matrix(om, center=False),
-                                   correlation_matrix(x))
 
 
 class TestNeighborhoodRegression:

@@ -312,19 +312,6 @@ class TestLassoGram:
         with pytest.raises(ValueError, match="without row and column 0 must have"):
             lasso_gram(np.ones((1, 1)), np.ones((1, 1)), LassoConfig(), leave_one_out=True)
 
-    def test_warm_start_at_the_solution_stops_at_once(self):
-        g, c = self._block()
-        cfg = LassoConfig(rho=2.0)
-        cold = lasso_gram(g, c[:, 0], cfg)
-        warm = lasso_gram(g, c[:, 0], cfg, x0=cold.coefficients)
-        assert cold.iterations > 1 and warm.iterations == 1 and warm.converged
-        np.testing.assert_allclose(warm.coefficients, cold.coefficients, rtol=1e-7)
-
-    def test_warm_start_shape_checked(self):
-        g, c = self._block()
-        with pytest.raises(ValueError, match="x0"):
-            lasso_gram(g, c, LassoConfig(), x0=np.zeros(12))
-
     @pytest.mark.parametrize("leave_one_out", [False, True])
     def test_debug_names_the_column_whose_objective_rises(self, monkeypatch, leave_one_out):
         # a step ten times too long makes ISTA diverge wherever c is nonzero;
