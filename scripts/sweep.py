@@ -296,6 +296,8 @@ CASES.update({
            signals="sources", p=P),
     **rows("cuts", "portfolio.repeated_cuts", cuts_calls, cuts_outcome, UP_TO_1000, cuts=6),
     **rows("circuit", "physical.circuit_solve", circuit_calls, sizes=UP_TO_1000),
+    **rows("laplacian_combinatorial", "core.laplacian", laplacian_calls, laplacian_outcome,
+           UP_TO_1000, kind="combinatorial", calls=10),
     **rows("laplacian_normalized", "core.laplacian", laplacian_calls, laplacian_outcome,
            UP_TO_1000, kind="normalized", calls=10),
     **rows("csv_write", "io.write_matrix_csv", csv_write_calls, written_outcome, UP_TO_1000,

@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": ("DirectedGraph", "Graph", "Laplacian", "NumericalError",
-             "RankDeficiencyWarning", "SourceVector", "SpectralDecomp", "eig_sym",
-             "laplacian", "pseudo_inverse", "smoothness"),
+             "RankDeficiencyWarning", "SpectralDecomp", "eig_sym", "laplacian",
+             "pseudo_inverse", "smoothness"),
     "geometric": ("KernelSpec", "VertexCloud", "generalized_distance", "geometric_weights",
                   "similarity_distances", "similarity_weights", "swiss_roll_graph"),
     "io": ("read_graph_json", "read_directed_graph_json", "read_matrix_csv",
@@ -31,7 +31,7 @@ _EXPORTS = {
                  "correlation_matrix", "laplacian_to_weights", "learn_from_sources",
                  "neighborhood_regression", "polynomial_fit_eigenvalues", "smooth_learn",
                  "symmetrize_geometric", "weight_mse_db"),
-    "metro": ("FlowVector", "betweenness", "closeness_vitality", "fick_population"),
+    "metro": ("betweenness", "closeness_vitality", "fick_population"),
     "physical": ("BoundaryCondition", "PageRankResult", "absorbing_probabilities",
                  "circuit_solve", "commute_time", "effective_resistance", "hitting_times",
                  "label_propagation", "monte_carlo_hitting", "pagerank",

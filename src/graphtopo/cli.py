@@ -765,7 +765,7 @@ def dispatch(argv) -> int:
     except (NumericalError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
+    except (UsageError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ __all__ = [
     "Laplacian",
     "LaplacianKind",
     "SpectralDecomp",
-    "SourceVector",
     "NumericalError",
     "RankDeficiencyWarning",
     "as_symmetric",
@@ -153,8 +152,10 @@ class Laplacian:
     ``generalized``: PSD with non-positive off-diagonals and non-negative row
     sums (diagonal self-loop excess allowed).
 
-    ``check=False`` skips invariant validation; estimation routines use it for
-    matrices that satisfy the invariants only approximately.
+    ``check=True`` averages a matrix symmetric within ``SYM_TOL`` with its
+    transpose and validates the kind's invariants. ``check=False`` takes the
+    caller's array as it is, read-only, and validates nothing: the caller
+    promises a finite, exactly symmetric, square float array.
     """
 
     l: np.ndarray
@@ -162,8 +163,9 @@ class Laplacian:
     check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_symmetric(self.l, "laplacian")
+        m = self.l
         if self.check:
+            m = as_symmetric(m, "laplacian")
             self._validate(m, max(_max_abs(m), 1.0))
         m.flags.writeable = False
         object.__setattr__(self, "l", m)
@@ -198,11 +200,6 @@ class Laplacian:
     def n(self) -> int:
         return self.l.shape[0]
 
-    @classmethod
-    def generalized(cls, q) -> "Laplacian":
-        """Validate a caller-supplied generalized Laplacian Q = L + P."""
-        return cls(_as_square(q, "laplacian"), kind="generalized")
-
 
 @dataclass(frozen=True)
 class SpectralDecomp:
@@ -230,24 +227,6 @@ class SpectralDecomp:
         return (u * self.eigenvalues) @ u.T
 
 
-@dataclass(frozen=True)
-class SourceVector:
-    """External injections with zero total (Kirchhoff balance)."""
-
-    i: np.ndarray
-
-    def __post_init__(self):
-        i = np.asarray(self.i, dtype=float)
-        if i.ndim != 1:
-            raise ValueError("source vector must be one-dimensional")
-        scale = max(float(np.max(np.abs(i))) if i.size else 0.0, 1.0)
-        if abs(float(i.sum())) > 1e-9 * scale:
-            raise ValueError("source vector entries must sum to zero")
-        i = i.copy()
-        i.flags.writeable = False
-        object.__setattr__(self, "i", i)
-
-
 def connected_components(w) -> list[list[int]]:
     """Vertex sets of the connected components of the skeleton W > 0.
 
@@ -273,8 +252,7 @@ def connected_components(w) -> list[list[int]]:
     return comps
 
 
-def laplacian(g: Graph, kind: LaplacianKind = "combinatorial",
-              allow_isolated: bool = False) -> Laplacian:
+def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> Laplacian:
     """Build the Laplacian of an undirected graph.
 
     Parameters
@@ -282,30 +260,25 @@ def laplacian(g: Graph, kind: LaplacianKind = "combinatorial",
     g : Graph
     kind : {"combinatorial", "normalized"}
         ``combinatorial`` returns D - W; ``normalized`` returns
-        I - D^{-1/2} W D^{-1/2}. Generalized Laplacians are caller-supplied,
-        see :meth:`Laplacian.generalized`.
-    allow_isolated : bool
-        Permit zero-degree vertices for the normalized kind. Their rows and
-        columns are left zero (the diagonal entry is 0, not 1).
+        I - D^{-1/2} W D^{-1/2} and refuses an isolated vertex. Generalized
+        Laplacians are caller-supplied: ``Laplacian(q, kind="generalized")``.
     """
-    # D - W and I - D^-1/2 W D^-1/2 of a validated graph meet every invariant
-    # Laplacian._validate tests, so it is skipped (a full eigvalsh if normalized)
+    # D - W and I - D^-1/2 W D^-1/2 of a validated graph are exactly symmetric
+    # and meet every invariant Laplacian._validate tests, so they are trusted
     d = g.degrees()
     if kind == "combinatorial":
         return Laplacian(np.diag(d) - g.w, kind="combinatorial", check=False)
     if kind == "normalized":
-        isolated = d <= 0
-        if np.any(isolated) and not allow_isolated:
-            idx = int(np.flatnonzero(isolated)[0])
-            raise ValueError(f"vertex {idx} is isolated; normalized laplacian undefined")
-        inv_sqrt = np.zeros_like(d)
-        inv_sqrt[~isolated] = 1.0 / np.sqrt(d[~isolated])
+        isolated = np.flatnonzero(d <= 0)
+        if isolated.size:
+            raise ValueError(f"vertex {isolated[0]} is isolated; normalized laplacian undefined")
+        inv_sqrt = 1.0 / np.sqrt(d)
         ln = -np.outer(inv_sqrt, inv_sqrt) * g.w
-        np.fill_diagonal(ln, np.where(isolated, 0.0, 1.0))
+        np.fill_diagonal(ln, 1.0)
         return Laplacian(ln, kind="normalized", check=False)
     if kind == "generalized":
         raise ValueError("generalized laplacians are caller-supplied; "
-                         "use Laplacian.generalized")
+                         'use Laplacian(q, kind="generalized")')
     raise ValueError(f"unknown laplacian kind {kind!r}")
 
 

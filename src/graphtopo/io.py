@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import json
 import os
+import re
 from io import StringIO
 from pathlib import Path
 
@@ -92,8 +93,9 @@ def write_vector_csv(path, v) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Rows of floats; ValueError on an empty or ragged file or on a NaN or
-    infinity, whose row is counted from 1 over the non-blank lines."""
+    """Rows of floats; ValueError naming the file on an empty or ragged file, a
+    token that is no number, or a NaN or infinity, whose row is counted from 1
+    over the non-blank lines."""
     def rows(fh):
         commas = None
         for line in filter(None, map(str.strip, fh)):
@@ -105,7 +107,14 @@ def read_matrix_csv(path) -> np.ndarray:
         if commas is None:
             raise ValueError(f"{path}: empty CSV")
     with open(path) as fh:
-        m = np.loadtxt(rows(fh), delimiter=",", ndmin=2, comments=None)
+        try:
+            m = np.loadtxt(rows(fh), delimiter=",", ndmin=2, comments=None)
+        except ValueError as e:
+            # numpy names no file and counts the rows it was given from 0
+            bad = re.fullmatch(r"(.*) at row (\d+), (column \d+)\.", str(e))
+            if bad is None:
+                raise
+            raise ValueError(f"{path}: {bad[1]} in row {int(bad[2]) + 1}, {bad[3]}") from None
     bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value in row {bad[0] + 1}")

@@ -338,7 +338,8 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
                 "increase grid_points or reduce m")
         raise NumericalError("eigenvalue fit degenerated to all zeros")
     l = (u * best_lam) @ u.T
-    return best_lam, Laplacian(l, kind="combinatorial", check=False)
+    # (u lam) u' is symmetric only to rounding, and check=False needs it exact
+    return best_lam, Laplacian((l + l.T) / 2.0, kind="combinatorial", check=False)
 
 
 def learn_from_sources(x, j, rho: float | None = None,

@@ -8,26 +8,11 @@ lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Graph, Laplacian
 
-__all__ = ["FlowVector", "betweenness", "closeness_vitality", "fick_population"]
-
-
-@dataclass(frozen=True)
-class FlowVector:
-    """Net outflow per vertex (out minus in, per unit time)."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(q)):
-            raise ValueError("flows contain non-finite values")
-        object.__setattr__(self, "q", q)
+__all__ = ["betweenness", "closeness_vitality", "fick_population"]
 
 
 # The most floats one neighbour gather may hold. betweenness takes its
@@ -172,11 +157,11 @@ def fick_population(l: Laplacian, q, k: float) -> np.ndarray:
         raise ValueError("diffusivity k must be positive")
     if l.kind != "combinatorial":
         raise ValueError("population estimate needs the combinatorial laplacian")
-    if isinstance(q, FlowVector):
-        q = q.q
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.size != l.n:
         raise ValueError("flow length does not match the graph")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("flows contain non-finite values")
     # each command loads only the modules it runs (cli's lazy loading, see
     # test_metro_centrality_loads_only_metro), so physical is imported here
     from .physical import BoundaryCondition, circuit_solve

@@ -8,8 +8,8 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .core import (DirectedGraph, Graph, Laplacian, NumericalError, SourceVector,
-                   connected_components, laplacian)
+from .core import (DirectedGraph, Graph, Laplacian, NumericalError, connected_components,
+                   laplacian)
 
 __all__ = [
     "BoundaryCondition",
@@ -78,8 +78,6 @@ def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarr
     fixed_val = bc.values(n)
     if sources is None:
         i_vec = np.zeros(n)
-    elif isinstance(sources, SourceVector):
-        i_vec = np.asarray(sources.i, dtype=float)
     else:
         i_vec = np.asarray(sources, dtype=float)
         i_vec = i_vec if i_vec.ndim == 2 else i_vec.reshape(-1)
@@ -358,8 +356,7 @@ def sparse_source_denoise(l: Laplacian, y, k: int, reference: int) -> np.ndarray
     return x
 
 
-def walk_steady_state(g: Graph, kind: WalkKind = "vertex_centric",
-                      normalize: bool = False) -> np.ndarray:
+def walk_steady_state(g: Graph, kind: WalkKind = "vertex_centric") -> np.ndarray:
     """Stationary shape of the random walk: sqrt(d_n / N) for the
     vertex-centric walk, constant for the edge-centric walk."""
     n = g.n
@@ -369,9 +366,4 @@ def walk_steady_state(g: Graph, kind: WalkKind = "vertex_centric",
         x = np.full(n, 1.0 / np.sqrt(n))
     else:
         raise ValueError(f"unknown walk kind {kind!r}")
-    if normalize:
-        norm = np.linalg.norm(x)
-        if norm == 0:
-            raise NumericalError("zero steady state; graph has no edges")
-        x = x / norm
     return x

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtopo import core
 from graphtopo.core import (
     Graph,
     Laplacian,
-    SourceVector,
     as_symmetric,
     connected_components,
     eig_sym,
@@ -18,10 +18,12 @@ from graphtopo.core import (
     pseudo_inverse,
     smoothness,
 )
+from graphtopo.learning import (PolyFitConfig, learn_from_sources, polynomial_fit_eigenvalues,
+                                smooth_learn)
 from graphtopo.physical import BoundaryCondition, label_propagation
 from graphtopo.portfolio import spectral_bisect
 
-from conftest import weights_from_edges
+from conftest import random_connected_graph, weights_from_edges
 
 
 def chain4_graph() -> Graph:
@@ -91,15 +93,57 @@ class TestLaplacian:
         w[0, 1] = w[1, 0] = 1.0
         with pytest.raises(ValueError, match="isolated"):
             laplacian(Graph.from_weights(w), kind="normalized")
-        l = laplacian(Graph.from_weights(w), kind="normalized", allow_isolated=True)
-        assert l.l[2, 2] == 0.0
 
     def test_generalized_validation(self):
         q = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        assert Laplacian.generalized(q).kind == "generalized"
+        assert Laplacian(q, kind="generalized").kind == "generalized"
         bad = np.array([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="off-diag"):
-            Laplacian.generalized(bad)
+            Laplacian(bad, kind="generalized")
+        with pytest.raises(ValueError, match=r'Laplacian\(q, kind="generalized"\)'):
+            laplacian(chain4_graph(), kind="generalized")
+
+    def test_default_check_averages_and_refuses(self):
+        m = laplacian(chain4_graph()).l.copy()
+        m[0, 1] += 1e-12
+        l = Laplacian(m)
+        assert np.array_equal(l.l, l.l.T) and l.l[0, 1] == (m[0, 1] + m[1, 0]) / 2
+        assert m.flags.writeable and not l.l.flags.writeable
+        m[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="laplacian must be symmetric"):
+            Laplacian(m)
+
+
+class TestTrustedLaplacian:
+    """The Laplacians graphtopo builds are exactly symmetric already, so they
+    are taken as built: no as_symmetric re-check and no averaged copy."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        names = []
+
+        def counting(m, name="matrix"):
+            names.append(name)
+            return as_symmetric(m, name)
+        monkeypatch.setattr(core, "as_symmetric", counting)
+        return names
+
+    def test_built_laplacians_skip_the_check(self, checked):
+        rng = np.random.default_rng(5)
+        g = random_connected_graph(rng, 7)
+        x = rng.normal(size=(7, 40))
+        j = laplacian(g).l @ x
+        checked.clear()
+        built = {"combinatorial": laplacian(g), "normalized": laplacian(g, kind="normalized")}
+        assert checked == []
+        built["smooth"] = smooth_learn(x, alpha=1.0, beta=1.0).laplacian
+        built["polyfit"] = polynomial_fit_eigenvalues(x @ x.T / 40, PolyFitConfig(m=2))[1]
+        built["sources"] = learn_from_sources(x, j)
+        # the polynomial fit's eig_sym checks its input r, which is no Laplacian
+        assert "laplacian" not in checked
+        for name, lap in built.items():
+            assert np.array_equal(lap.l, lap.l.T), name
+            assert not lap.l.flags.writeable, name
 
 
 class TestEigSym:
@@ -243,13 +287,6 @@ class TestSmoothness:
             l = laplacian(g, kind=kind)
             for _ in range(20):
                 assert smoothness(l, rng.standard_normal(4)) >= -1e-12
-
-
-class TestSourceVector:
-    def test_balance_enforced(self):
-        SourceVector(np.array([1.0, -1.0, 0.0]))
-        with pytest.raises(ValueError, match="sum to zero"):
-            SourceVector(np.array([1.0, 0.0, 0.0]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -51,6 +51,15 @@ def test_ragged_csv_rejected(tmp_path):
         read_matrix_csv(path)
 
 
+def test_bad_token_names_file_and_row(tmp_path):
+    # the row is counted from 1 over the non-blank lines, as for a non-finite value
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\n\n3,x\n")
+    with pytest.raises(ValueError, match=r"^.*bad\.csv: could not convert string 'x' "
+                                         r"to float64 in row 2, column 2$"):
+        read_matrix_csv(path)
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_non_finite_csv_rejected(tmp_path, token):
     path = tmp_path / "bad.csv"
