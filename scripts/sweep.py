@@ -199,13 +199,19 @@ def reported(answers, call) -> dict:
             "converged": report["converged"]}
 
 
+def unwrapped(value, attr: str):
+    """value's array `attr` when value is a wrapper of a baseline that still
+    has one (BetaMatrix.b, ObservationMatrix.x), else value itself."""
+    return getattr(value, attr, value)
+
+
 def regress_outcome(answers, call) -> dict:
-    return reported([b.b for b in answers], call)
+    return reported([unwrapped(b, "b") for b in answers], call)
 
 
 def smooth_outcome(answers, call) -> dict:
     fit, trace = answers[0], call[1]["objective_trace"]
-    return {"result": digest([fit.laplacian.l, fit.signal.x], trace[-1]),
+    return {"result": digest([fit.laplacian.l, unwrapped(fit.signal, "x")], trace[-1]),
             "iterations": len(trace), "converged": fit.converged}
 
 

@@ -27,10 +27,9 @@ _EXPORTS = {
            "read_vector_csv", "write_graph_json", "write_matrix_csv", "write_vector_csv"),
     "lattice": ("Lattice", "SamplingMap", "kron_sum_adjacency", "path_adjacency",
                 "separability_check", "separable_gdft", "subsample"),
-    "learning": ("BetaMatrix", "ObservationMatrix", "PolyFitConfig", "SmoothFit",
-                 "correlation_matrix", "laplacian_to_weights", "learn_from_sources",
-                 "neighborhood_regression", "polynomial_fit_eigenvalues", "smooth_learn",
-                 "symmetrize_geometric", "weight_mse_db"),
+    "learning": ("PolyFitConfig", "SmoothFit", "correlation_matrix", "laplacian_to_weights",
+                 "learn_from_sources", "neighborhood_regression", "polynomial_fit_eigenvalues",
+                 "smooth_learn", "symmetrize_geometric", "weight_mse_db"),
     "metro": ("betweenness", "closeness_vitality", "fick_population"),
     "physical": ("BoundaryCondition", "PageRankResult", "absorbing_probabilities",
                  "circuit_solve", "commute_time", "effective_resistance", "hitting_times",
@@ -39,7 +38,7 @@ _EXPORTS = {
     "portfolio": ("Bisection", "CutNode", "CutTree", "ReturnSeries", "allocate", "cut_value",
                   "market_graph", "min_variance_weights", "repeated_cuts", "sharpe",
                   "spectral_bisect"),
-    "simulate": ("MODES", "SimSpec", "simulate"),
+    "simulate": ("MODES", "ObservationMatrix", "SimSpec", "simulate"),
     "solvers": ("GlassoConfig", "LassoConfig", "LassoResult", "glasso", "lasso_gram",
                 "lasso_ista", "normalize_precision", "precision_matrix", "soft_threshold"),
     "verify": ("run_suite",),

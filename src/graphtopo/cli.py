@@ -326,7 +326,7 @@ def _learn_smooth(args, x) -> Result:
 
 def _read_polyfit(args):
     from .learning import PolyFitConfig
-    return io.read_matrix_csv(args.obs), PolyFitConfig(m=args.order, grid_points=args.grid_points)
+    return io.read_matrix_csv(args.obs), PolyFitConfig(m=args.order)
 
 
 def _learn_polyfit(args, inputs) -> Result:
@@ -641,7 +641,6 @@ COMMANDS = (
     ), _read_obs, _learn_smooth),
     Command("learn", "polyfit", "eigenvalue polynomial fit topology", _LEARNED + (
         _arg("--order", type=int, required=True),
-        _arg("--grid-points", type=int, default=None),
     ), _read_polyfit, _learn_polyfit),
     Command("learn", "sources", "topology from known sources", _LEARNED + (
         _arg("--sources", required=True, help="source matrix CSV"),

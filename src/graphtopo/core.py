@@ -6,7 +6,6 @@ throughout (the intended scale is a few thousand vertices at most).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Literal
 

@@ -11,8 +11,6 @@ import numpy as np
 from .core import Graph, Laplacian, NumericalError, eig_sym
 
 __all__ = [
-    "ObservationMatrix",
-    "BetaMatrix",
     "PolyFitConfig",
     "correlation_matrix",
     "neighborhood_regression",
@@ -27,93 +25,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ObservationMatrix:
-    """N x P matrix of vertex signals, one snapshot per column."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if x.shape[1] < 1:
-            raise ValueError("need at least one snapshot")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("observations must be finite")
-        x = x.copy()
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class BetaMatrix:
-    """Per-vertex regression coefficients; entry (n, m) regresses vertex n
-    on vertex m, diagonal structurally zero."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if np.any(np.diag(b) != 0):
-            raise ValueError("diagonal must be zero")
-        b = b.copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "b", b)
-
-    @property
-    def n(self) -> int:
-        return self.b.shape[0]
-
-
-@dataclass(frozen=True)
 class PolyFitConfig:
-    """Settings for the eigenvalue polynomial fit: system order m and the
-    number of grid points per free interior knot."""
+    """Settings for the eigenvalue polynomial fit: the system order m."""
 
     m: int = 2
-    grid_points: int | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.grid_points is not None and self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
-
-    def resolved_grid_points(self) -> int:
-        if self.grid_points is not None:
-            return self.grid_points
-        return 50 if self.m <= 2 else 25
 
 
 def _as_signal(x) -> np.ndarray:
-    if isinstance(x, ObservationMatrix):
-        return x.x
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def correlation_matrix(x, center: bool = False) -> np.ndarray:
-    """Sample second-moment matrix X X' / P; subtracts per-vertex means
-    first when centering is requested."""
+def correlation_matrix(x) -> np.ndarray:
+    """Sample second-moment matrix X X' / P."""
     arr = _as_signal(x)
-    if center:
-        arr = arr - arr.mean(axis=1, keepdims=True)
     return arr @ arr.T / arr.shape[1]
 
 
 def neighborhood_regression(x, rho: float, max_iter: int = 1000,
-                            tol: float = 1e-8, report: dict | None = None) -> BetaMatrix:
+                            tol: float = 1e-8, report: dict | None = None) -> np.ndarray:
     """Regress each vertex signal on all the others with an L1 penalty.
 
-    Row n holds the coefficients of the remaining vertices in their original
-    order; the diagonal stays zero. All rows are solved in one
+    Returns the n x n coefficient matrix: entry (n, m) regresses vertex n on
+    vertex m, and the diagonal stays zero. All rows are solved in one
     :func:`lasso_gram` block on the Gram S = XX', row n on S without row and
     column n. A given ``report`` dict receives ``converged`` (every row lasso
     converged), ``unconverged_rows`` and ``iterations`` (the rows' total).
@@ -143,18 +80,22 @@ def neighborhood_regression(x, rho: float, max_iter: int = 1000,
         report["converged"] = not unconverged
         report["unconverged_rows"] = unconverged
         report["iterations"] = iterations
-    return BetaMatrix(b)
+    return b
 
 
-def symmetrize_geometric(b: BetaMatrix, clamp_negative: bool = False) -> Graph:
-    """Geometric-mean symmetrization W_nm = sqrt(b_nm * b_mn).
+def symmetrize_geometric(b, clamp_negative: bool = False) -> Graph:
+    """Geometric-mean symmetrization W_nm = sqrt(b_nm * b_mn) of a square
+    coefficient matrix with a zero diagonal.
 
     A pair with a negative member is an error unless clamp_negative is set,
     in which case it becomes 0.
     """
-    mat = b.b
-    forward = mat
-    backward = mat.T
+    forward = np.asarray(b, dtype=float)
+    if forward.ndim != 2 or forward.shape[0] != forward.shape[1]:
+        raise ValueError("coefficient matrix must be square")
+    if np.any(np.diag(forward) != 0):
+        raise ValueError("diagonal must be zero")
+    backward = forward.T
     neg = (forward < 0) | (backward < 0)
     if np.any(neg):
         if not clamp_negative:
@@ -164,7 +105,6 @@ def symmetrize_geometric(b: BetaMatrix, clamp_negative: bool = False) -> Graph:
         w = np.where(neg, 0.0, np.sqrt(np.maximum(forward * backward, 0.0)))
     else:
         w = np.sqrt(forward * backward)
-    np.fill_diagonal(w, 0.0)
     return Graph.from_weights(w)
 
 
@@ -195,7 +135,7 @@ class SmoothFit:
     """
 
     laplacian: Laplacian
-    signal: ObservationMatrix
+    signal: np.ndarray
     iterations: int
     converged: bool
 
@@ -263,8 +203,7 @@ def smooth_learn(x, alpha: float, beta: float, outer_iters: int = 20,
                    + alpha * np.sum((l @ y) * y)
                    + beta * np.sum(l ** 2))
             objective_trace.append(float(obj))
-    return SmoothFit(Laplacian(l, kind="combinatorial", check=False), ObservationMatrix(y),
-                     iterations, converged)
+    return SmoothFit(Laplacian(l, kind="combinatorial", check=False), y, iterations, converged)
 
 
 def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Laplacian]:
@@ -296,7 +235,9 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
     if m == 1:
         candidates = [()]
     else:
-        grid = np.linspace(0.0, 1.0, cfg.resolved_grid_points() + 2)[1:-1]
+        # grid points per free interior knot
+        points = 50 if m <= 2 else 25
+        grid = np.linspace(0.0, 1.0, points + 2)[1:-1]
         mesh = np.meshgrid(*([grid] * (m - 1)), indexing="ij")
         stacked = np.column_stack([g.ravel() for g in mesh])
         candidates = [tuple(row) for row in stacked
@@ -334,8 +275,7 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
     if best_lam is None:
         if not found_monotone:
             raise NumericalError(
-                "no interior-knot candidate gives a monotone polynomial; "
-                "increase grid_points or reduce m")
+                "no interior-knot candidate gives a monotone polynomial; reduce m")
         raise NumericalError("eigenvalue fit degenerated to all zeros")
     l = (u * best_lam) @ u.T
     # (u lam) u' is symmetric only to rounding, and check=False needs it exact

@@ -58,9 +58,6 @@ class PageRankResult:
     iterations: int
     converged: bool
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.scores, dtype=dtype)
-
 
 def circuit_solve(l: Laplacian, bc: BoundaryCondition, sources=None) -> np.ndarray:
     """Potentials on a graph with pinned vertices and injected currents.

@@ -14,9 +14,8 @@ from typing import Mapping
 import numpy as np
 
 from .core import SIGNAL_MODES, Graph, eig_sym, laplacian
-from .learning import ObservationMatrix
 
-__all__ = ["MODES", "SimSpec", "simulate"]
+__all__ = ["MODES", "ObservationMatrix", "SimSpec", "simulate"]
 
 MODES = SIGNAL_MODES
 
@@ -32,6 +31,31 @@ _OPTIONAL = {
     "adjacency_shift": frozenset({"amplitudes"}),
     "bandlimited": frozenset({"amplitudes"}),
 }
+
+
+@dataclass(frozen=True)
+class ObservationMatrix:
+    """N x P matrix of vertex signals, one snapshot per column."""
+
+    x: np.ndarray
+
+    def __post_init__(self):
+        x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        if x.shape[1] < 1:
+            raise ValueError("need at least one snapshot")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("observations must be finite")
+        x = x.copy()
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.x.shape[1]
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ class LassoResult:
     iterations: int | np.ndarray
     converged: bool | np.ndarray
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coefficients, dtype=dtype)
-
 
 def soft_threshold(y, t):
     """Shrink toward zero: y+t below -t, 0 inside [-t, t], y-t above t."""

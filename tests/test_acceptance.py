@@ -88,7 +88,7 @@ def test_criterion_01_precision_matrix_example():
 def test_criterion_02_regression_example():
     x = chain4_observations(12)
     b = neighborhood_regression(x, rho=0.0, max_iter=20_000, tol=1e-12)
-    np.testing.assert_allclose(b.b[0, 1:], [0.5, 0.0, 0.0], atol=1e-6)
+    np.testing.assert_allclose(b[0, 1:], [0.5, 0.0, 0.0], atol=1e-6)
     g = symmetrize_geometric(b, clamp_negative=True)
     np.testing.assert_allclose(g.w, W_CHAIN, atol=1e-6)
     print("PASS criterion 2: rho=0 regression (0.5, 0, 0) and symmetrized "

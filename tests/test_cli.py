@@ -642,6 +642,29 @@ class TestDeterminism:
         assert report["seed"] == 11
         assert report["generator"] == "numpy.random.Generator(PCG64)"
 
+    def test_polyfit_across_blas_thread_counts(self, tmp_path):
+        # BLAS sums in an order that depends on its thread count, so a seeded
+        # run is byte-identical only at one thread count; across counts the
+        # README's contract is a relative 1e-10 of max|L|. p = n is the fewest
+        # snapshots with a full-rank correlation. On a 2-CPU x86-64 host with
+        # OpenBLAS 0.3.31, 1 and 2 threads gave 9,996 of the 10,000 entries of
+        # L different, by up to 2.8e-14 of max|L|.
+        g = random_connected_graph(np.random.default_rng(100), 100, p_edge=0.04,
+                                   w_low=0.5, w_high=1.5)
+        io.write_graph_json(tmp_path / "g.json", g)
+        gen = ["gen", "signal", "--graph", "g.json", "--mode", "diffusion", "--seed", "1",
+               "--p", "100", "--params", '{"h": [0.3, 0.2, 0.5]}', "--out", "x.csv"]
+        laplacians = []
+        for threads in ("1", "2"):
+            learn = ["learn", "polyfit", "--obs", "x.csv", "--order", "2",
+                     "--out-l", f"l{threads}.csv", "--out-w", "w.csv"]
+            proc = run_python(dispatch_code(gen) + "; " + dispatch_code(learn),
+                              cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            laplacians.append(io.read_matrix_csv(tmp_path / f"l{threads}.csv"))
+        one, two = laplacians
+        assert np.max(np.abs(one - two)) <= 1e-10 * np.max(np.abs(one))
+
 
 class TestCsvRoundTrip:
     def test_shortest_repr_round_trips(self, tmp_path, monkeypatch):
@@ -846,9 +869,10 @@ class TestRunnerContract:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
-    """Run `python -c code args` in a fresh interpreter that imports graphtopo from src."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def run_python(code: str, *args, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run `python -c code args` in a fresh interpreter that imports graphtopo
+    from src, with the variables in `env` added to its environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, cwd=cwd, timeout=150)
 
@@ -969,16 +993,21 @@ class TestLazyLoading:
         assert "graphtopo.solvers" in loaded
         assert not {"graphtopo.physical", "graphtopo.simulate", "graphtopo.verify"} & set(loaded)
 
-    @pytest.mark.parametrize("argv", [
-        ("learn", "polyfit", "--obs", "{d}/obs.csv", "--order", "2"),
-        ("learn", "smooth", "--obs", "{d}/obs.csv", "--alpha", "1.0", "--beta", "0.5"),
-        ("gen", "signal", "--graph", "{d}/bench8.json", "--mode", "diffusion",
-         "--params", '{{"h": [0.3, 0.2, 0.5]}}', "--seed", "0", "--p", "3"),
-    ], ids=["polyfit", "smooth", "diffusion-signal"])
-    def test_learning_without_a_lasso_loads_no_solvers(self, argv, inputs, tmp_path):
+    @pytest.mark.parametrize("argv,uses_learning", [
+        (("learn", "polyfit", "--obs", "{d}/obs.csv", "--order", "2"), True),
+        (("learn", "smooth", "--obs", "{d}/obs.csv", "--alpha", "1.0", "--beta", "0.5"), True),
+        # gen signal loads no learning either: ObservationMatrix lives in simulate
+        (("gen", "signal", "--graph", "{d}/bench8.json", "--mode", "diffusion",
+          "--params", '{{"h": [0.3, 0.2, 0.5]}}', "--seed", "0", "--p", "3"), False),
+        (("gen", "signal", "--graph", "{d}/bench8.json", "--mode", "pinned_pair",
+          "--seed", "0", "--p", "3"), False),
+    ], ids=["polyfit", "smooth", "diffusion-signal", "pinned-pair-signal"])
+    def test_learning_without_a_lasso_loads_no_solvers(self, argv, uses_learning, inputs,
+                                                       tmp_path):
         argv = [a.format(d=inputs) for a in argv]
         loaded = loaded_modules(dispatch_code(argv), cwd=tmp_path)
-        assert "graphtopo.learning" in loaded and "graphtopo.solvers" not in loaded
+        assert ("graphtopo.learning" in loaded) == uses_learning
+        assert "graphtopo.solvers" not in loaded
 
     def test_exports_resolve_to_submodule_attributes(self):
         # graphtopo.simulate is loaded before any package name is read, and

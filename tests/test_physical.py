@@ -194,10 +194,6 @@ class TestPageRank:
         with pytest.raises(ValueError, match="vertex 2"):
             pagerank(DirectedGraph.from_weights(w))
 
-    def test_result_supports_array_protocol(self, pages8):
-        res = pagerank(pages8)
-        np.testing.assert_array_equal(np.asarray(res), res.scores)
-
 
 class TestAbsorbing:
     def test_social_graph_absorption_probabilities(self, social8):

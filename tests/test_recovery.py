@@ -69,7 +69,7 @@ def test_regress_recovers_diffusion_graph():
     # negative weight. Measured: -(B + B') 0.922 (59 of 64 edges), with 10 of
     # the 30 row lassos at max_iter.
     g = graph30()
-    b = neighborhood_regression(diffusion_signals(g), rho=0.05).b
+    b = neighborhood_regression(diffusion_signals(g), rho=0.05)
     assert top_k_edge_f1(-(b + b.T), g.w) >= 0.922 - 0.05
 
 
