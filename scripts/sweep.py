@@ -287,9 +287,12 @@ for mode in SIGNAL_PARAMS:
 CASES.update(rows("resistance", "physical.effective_resistance", resistance_calls, calls=500))
 CASES.update({f"hitting_{n}": Case("physical.hitting_times", {"n": n, "calls": n},
                                    hitting_calls) for n in SIZES})
+# glasso at the dense rho = 0.05 and at rho = 0.4, where diffusion signals give a
+# sparse answer that recovers the graph
 for mode in SIGNAL_PARAMS:
-    CASES.update(rows(f"glasso_{mode}", "solvers.glasso", glasso_calls, reported,
-                      signals=mode, p=P, rho=0.05))
+    for prefix, rho in ((f"glasso_{mode}", 0.05), (f"glasso_{mode}_rho0.4", 0.4)):
+        CASES.update(rows(prefix, "solvers.glasso", glasso_calls, reported,
+                          signals=mode, p=P, rho=rho))
 for mode, rho in (("diffusion", 0.05), ("sources", 100.0)):
     CASES.update(rows(f"regress_{mode}", "learning.neighborhood_regression", regress_calls,
                       regress_outcome, signals=mode, p=P, rho=rho))

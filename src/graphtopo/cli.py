@@ -569,7 +569,9 @@ _CUT_KIND = _arg("--kind", default="cutn", choices=tuple(_CUT_KINDS))
 _LASSO = (
     _arg("--rho", type=float, required=True),
     _arg("--max-iter", type=int, default=1000),
-    _arg("--tol", type=float, default=1e-8),
+    _arg("--tol", type=float, default=1e-8,
+         help="stop each lasso once its optimality (KKT) violation is at most tol "
+              "times max(1, max|A'y|), A'y its right-hand side"),
 )
 _MARKET = (
     _arg("--returns", required=True),
@@ -617,7 +619,7 @@ COMMANDS = (
              _arg("--out", default="lattice.json")),
             _read_lattice, _gen_lattice),
 
-    Command("learn", "lasso", "sparse regression by ISTA", (
+    Command("learn", "lasso", "sparse regression by proximal gradient", (
         _arg("--obs", required=True,
              help="CSV; first column is the response unless --target is given"),
         _arg("--target", default=None, help="response vector CSV"),

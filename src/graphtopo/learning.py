@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, Laplacian, NumericalError, eig_sym
+from .core import RANK_TOL, Graph, Laplacian, NumericalError, eig_sym
 
 __all__ = [
     "PolyFitConfig",
@@ -215,7 +215,7 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
     candidate whose implied Laplacian is sparsest (entrywise L1 normalized
     by the square root of the Frobenius energy). Each eigenvalue maps back
     through the monotone polynomial by bisection, then the set rescales to
-    sum N.
+    sum N. Eigenvalues of r at most RANK_TOL times the largest count as 0.
     """
     r = np.asarray(r, dtype=float)
     n = r.shape[0]
@@ -224,7 +224,9 @@ def polynomial_fit_eigenvalues(r, cfg: PolyFitConfig) -> tuple[np.ndarray, Lapla
     scale = max(np.max(np.abs(vals)), 1.0)
     if vals[0] < -1e-8 * scale:
         raise ValueError("r must be positive semidefinite")
-    h = np.sqrt(np.maximum(vals, 0.0))
+    # eigenvalues at R's noise floor are 0, so its null space maps to lambda = 0
+    # whatever basis of it the eigensolver returns
+    h = np.sqrt(np.where(vals > RANK_TOL * np.max(np.abs(vals)), vals, 0.0))
     u = decomp.eigenvectors
 
     m = cfg.m
@@ -291,8 +293,8 @@ def learn_from_sources(x, j, rho: float | None = None,
     with fewer it is built row by row with an L1 penalty (rho required). The
     final row and column complete the zero row/column sums, and the output is
     symmetrized by averaging. A given ``report`` dict receives ``asymmetry``;
-    the sparse branch adds ``converged`` (every row lasso converged) and
-    ``unconverged_rows``.
+    the sparse branch adds ``converged`` (every row lasso converged),
+    ``unconverged_rows`` and ``iterations`` (the rows' total).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     j = np.atleast_2d(np.asarray(j, dtype=float))
@@ -321,6 +323,7 @@ def learn_from_sources(x, j, rho: float | None = None,
         if report is not None:
             report["converged"] = bool(np.all(res.converged))
             report["unconverged_rows"] = np.flatnonzero(~res.converged).tolist()
+            report["iterations"] = int(res.iterations.sum())
 
     l = np.zeros((n, n))
     l[: n - 1, : n - 1] = l_red

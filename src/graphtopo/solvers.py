@@ -1,5 +1,5 @@
-"""Proximal L1 machinery: soft-thresholding, ISTA, graphical LASSO,
-precision matrices."""
+"""Proximal L1 machinery: soft-thresholding, one proximal-gradient loop for the
+lasso and the graphical LASSO, precision matrices."""
 
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """ISTA settings: L1 weight rho, iteration cap, relative-change tol."""
+    """Lasso settings: L1 weight rho, step cap, and tol, the stationarity (KKT)
+    tolerance relative to max(1, max|c|) of each right-hand side."""
 
     rho: float = 0.0
     max_iter: int = 1000
@@ -68,22 +69,85 @@ def soft_threshold(y, t):
 
 
 def _shrink(y: np.ndarray, t) -> np.ndarray:
-    # soft_threshold without its checks, for the ISTA loop (LassoConfig keeps rho >= 0)
+    # soft_threshold without its checks, for the proximal steps (their thresholds are >= 0)
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
+def _colsum(a, b):
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _l1_residual(x, g, lam):
+    # entrywise distance of the gradient g of f from -lam times the subdifferential of |x|
+    return np.where(x != 0, np.abs(g + lam * np.sign(x)), np.maximum(np.abs(g) - lam, 0.0))
+
+
+def _prox_grad(x, t, f, grad, prox, kkt, max_iter):
+    """Proximal gradient on a block of independent problems, one per column of x,
+    each with its own step t, stop and freeze.
+
+    The callers' functions get the live columns and their indices j: ``f(x, j)``
+    is the smooth part per column (inf off its domain) with an aux array, one
+    column per column of x, for ``grad(x, aux, j)`` at an accepted point;
+    ``prox(y, t, j)`` is the proximal map of t times the penalty and ``kkt(x, g, j)``
+    tests stationarity. A step goes to prox(x - t grad, t), with t halved until f
+    has sufficient decrease, so f plus the penalty never rises; t then takes
+    alternating Barzilai-Borwein guesses, long then short. Returns x, the steps
+    per column and whether each column's KKT test held before max_iter ran out.
+    """
+    iterations = np.full(x.shape[1], max_iter)
+    converged = np.zeros(x.shape[1], dtype=bool)
+    live, xl = np.arange(x.shape[1]), x
+    fx, aux = f(xl, live)
+    g = grad(xl, aux, live)
+
+    def trial(b):
+        cand = prox(xl[:, b] - t[b] * g[:, b], t[b], live[b])
+        fc, ac = f(cand, live[b])
+        dx = cand - xl[:, b]
+        # the slack lets a step that only rounding moves pass
+        ok = fc <= (fx[b] + _colsum(g[:, b], dx) + _colsum(dx, dx) / (2.0 * t[b])
+                    + 1e-12 * np.maximum(1.0, np.abs(fx[b])))
+        return cand, dx, fc, ac, ok
+
+    for it in range(max_iter + 1):
+        done = kkt(xl, g, live)
+        if done.any():
+            x[:, live[done]] = xl[:, done]
+            iterations[live[done]], converged[live[done]] = it, True
+            live, xl, g, fx, t = live[~done], xl[:, ~done], g[:, ~done], fx[~done], t[~done]
+        if not live.size or it == max_iter:
+            break
+        cand, dx, f_new, aux, ok = trial(slice(None))
+        for _ in range(60):
+            if ok.all():
+                break
+            b = np.flatnonzero(~ok)
+            t[b] /= 2.0
+            cand[:, b], dx[:, b], f_new[b], aux[:, b], ok[b] = trial(b)
+        if not ok.all():
+            raise NumericalError(f"step {it + 1} failed its decrease test after 60 halvings")
+        g_new = grad(cand, aux, live)
+        dg = g_new - g
+        curv = _colsum(dx, dg)
+        num, den = (curv, _colsum(dg, dg)) if it % 2 else (_colsum(dx, dx), curv)
+        np.divide(num, den, out=t, where=curv > 0)
+        xl, g, fx = cand, g_new, f_new
+    x[:, live] = xl
+    return x, iterations, converged
+
+
 def lasso_gram(g, c, cfg: LassoConfig, leave_one_out: bool = False) -> LassoResult:
-    """Minimize x'Gx - 2c'x + rho ||x||_1 by iterative soft-thresholding.
+    """Minimize x'Gx - 2c'x + rho ||x||_1 by proximal gradient.
 
     With G = A'A and c = A'y this is the lasso ||y - Ax||^2 + rho ||x||_1 less its
-    constant y'y. A 2-D c is a block of right-hand sides solved in one loop, one
-    problem per column: each column has its own step, stops on its own and is frozen
-    from then on; a 1-D c runs as a block of one column. With ``leave_one_out`` the
-    block is square and column k is solved on G without row and column k, so x[k, k]
-    stays 0.
+    constant y'y. A 2-D c is a block of right-hand sides, one problem per column;
+    a 1-D c runs as a block of one. With ``leave_one_out`` the block is square and
+    column k is solved on G without row and column k, so x[k, k] stays 0.
 
-    A column's step is 1/(2 lambda_max) of its Gram. The iterate starts at c
-    and each column stops on relative change below cfg.tol or at cfg.max_iter.
+    A column starts at 0 with the step 1/max G_ii of its own problem. It stops once
+    |Gx - c + (rho/2) s| <= cfg.tol max(1, max|c|) for an s in the subdifferential
+    of ||x||_1, or after cfg.max_iter steps. cfg.debug raises if the objective rises.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
     c = np.asarray(c, dtype=float)
@@ -94,99 +158,50 @@ def lasso_gram(g, c, cfg: LassoConfig, leave_one_out: bool = False) -> LassoResu
     m, k = c.shape
     if g.shape != (m, m):
         raise ValueError("g must be square with one row per entry of c")
-    x = np.array(c)
+    d, ca = np.diag(g), np.abs(c)
+    top = np.full(k, d.max())  # the largest diagonal entry of each column's Gram
     if leave_one_out:
         if vector or k != m:
             raise ValueError("leave_one_out needs one column of c per row of g")
-        nz = g != 0
-        # nonzero entries of g without row and column j
-        rest = np.count_nonzero(nz) - nz.sum(axis=0) - nz.sum(axis=1) + nz.diagonal()
-        if not rest.all():
-            j = int(np.argmin(rest))
-            raise ValueError(f"g without row and column {j} must have at least one nonzero entry")
-        lam = _leave_one_out_lmax(g)
-        x[np.diag_indices(m)] = 0.0
-    else:
-        if not np.any(g):
-            raise ValueError("g must have at least one nonzero entry")
-        lam = np.linalg.eigvalsh(g)[-1:]
-    alpha = np.broadcast_to(1.0 / (2.0 * lam), (k,))
-    def sq(v): return np.einsum("ij,ij->j", v, v)
-
-    iterations = np.full(k, cfg.max_iter)
-    converged = np.zeros(k, dtype=bool)
-    # the columns still iterating: their index, iterate, c, step 2 alpha,
-    # threshold alpha rho, last objective and the bound on ||x_new - x||^2
-    live, xl, cl, a2, thr = np.arange(k), x, c, 2.0 * alpha, alpha * cfg.rho
+        top[np.argmax(d)] = np.max(np.delete(d, np.argmax(d)), initial=0.0)
+        ca[np.diag_indices(m)] = 0.0
+    if not np.all(top > 0):
+        where = f" without row and column {np.argmin(top)}" if leave_one_out else ""
+        raise ValueError(f"g{where} must have a nonzero diagonal entry")
+    tol = cfg.tol * np.maximum(1.0, ca.max(axis=0))
     obj_prev = np.full(k, np.inf)
-    # the stop test ||x_new - x|| / max(||x||, 1e-12) < tol, squared; <= lets
-    # an exact fixed point stop where tol^2 underflows
-    tol2 = cfg.tol * cfg.tol
-    lim = tol2 * (sq(xl) + 1e-24)
-    for it in range(1, cfg.max_iter + 1):
-        y = cl - g @ xl
-        y *= a2
-        y += xl
-        x_new = _shrink(y, thr)
+
+    def f(x, j):  # half the objective: x'Gx/2 - c'x, with the penalty (rho/2) ||x||_1
+        gx = g @ x
+        return _colsum(x, 0.5 * gx - c[:, j]), gx
+
+    def grad(x, gx, j):
+        gr = gx - c[:, j]
         if leave_one_out:
-            x_new[live, np.arange(live.size)] = 0.0
+            gr[j, np.arange(j.size)] = 0.0
         if cfg.debug:
             # without y'y the objective can be negative, hence the |.| scale
-            obj = (np.einsum("ij,ij->j", x_new, g @ x_new - 2.0 * cl)
-                   + cfg.rho * np.sum(np.abs(x_new), axis=0))
-            up = np.flatnonzero(obj > obj_prev + 1e-12 * np.maximum(1.0, np.abs(obj_prev)))
+            obj = _colsum(x, g @ x - 2.0 * c[:, j]) + cfg.rho * np.sum(np.abs(x), axis=0)
+            up = np.flatnonzero(obj > obj_prev[j] + 1e-12 * np.maximum(1.0, np.abs(obj_prev[j])))
             if up.size:
-                j = up[0]
-                where = "" if vector else f" in column {live[j]}"
-                raise NumericalError(
-                    f"objective increased at iteration {it}{where}: "
-                    f"{obj_prev[j]!r} -> {obj[j]!r}")
-            obj_prev = obj
-        done = sq(x_new - xl) <= lim
-        xl = x_new
-        lim = tol2 * (sq(xl) + 1e-24)
-        if np.count_nonzero(done):
-            x[:, live[done]] = xl[:, done]
-            iterations[live[done]] = it
-            converged[live[done]] = True
-            keep = ~done
-            live, xl, cl, a2, thr, obj_prev, lim = (
-                live[keep], xl[:, keep], cl[:, keep], a2[keep], thr[keep],
-                obj_prev[keep], lim[keep])
-            if not live.size:
-                break
-    x[:, live] = xl
+                raise NumericalError(f"objective increased in column {j[up[0]]}: "
+                                     f"{obj_prev[j[up[0]]]!r} -> {obj[up[0]]!r}")
+            obj_prev[j] = obj
+        return gr
+
+    x, iterations, converged = _prox_grad(
+        np.zeros((m, k)), 1.0 / top, f, grad,
+        lambda y, t, j: _shrink(y, t * (cfg.rho / 2.0)),
+        lambda x, gr, j: _l1_residual(x, gr, cfg.rho / 2.0).max(axis=0) <= tol[j],
+        cfg.max_iter)
     if vector:
         return LassoResult(x[:, 0], int(iterations[0]), bool(converged[0]))
     return LassoResult(x, iterations, converged)
 
 
-def _leave_one_out_lmax(g: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of g without row and column i, for every i.
-
-    With g = U diag(lam) U' (lam ascending) it lies in [lam[-2], lam[-1]]
-    by interlacing, and there it is the root of the increasing function
-    sum_k U[i, k]^2 / (lam[k] - mu), found for all i by one bisection. Where
-    U[i, -1] is 0 the largest eigenvalue of g is left in place.
-    """
-    lam, u = np.linalg.eigh(g)
-    u2 = u * u
-    lo = np.full(lam.size, lam[-2])
-    hi = np.full(lam.size, lam[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):
-                break
-            below = np.sum(u2 / (lam - mid[:, None]), axis=1) < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    return np.where(u2[:, -1] == 0, lam[-1], hi)
-
-
 def lasso_ista(a, y, cfg: LassoConfig) -> LassoResult:
-    """Minimize ||y - A x||_2^2 + rho ||x||_1 by iterative soft-thresholding,
-    through :func:`lasso_gram` on G = A'A and c = A'y."""
+    """Minimize ||y - A x||_2^2 + rho ||x||_1 through :func:`lasso_gram` on
+    G = A'A and c = A'y."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if a.shape[0] != y.size:
@@ -203,12 +218,12 @@ def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
     """Sparse precision estimate: minimise -log det Q + tr((R + rho I) Q)
     + (rho/2) sum_{i != j} |Q_ij| by G-ISTA (Rolfs et al., NIPS 2012).
 
-    Each step Q <- soft(Q - t (R + rho I - Q^-1), t rho/2) thresholds the off-diagonal
-    only, so absent edges come out exactly 0; t is a Barzilai-Borwein step, halved until
-    Q has a Cholesky factor (which gives Q^-1) and the sufficient-decrease test holds.
-    It stops on the KKT conditions at V = Q^-1 or after GLASSO_MAX_ITER steps; rho = 0
-    returns inv(R). A given ``report`` dict receives ``iterations``, ``converged`` (KKT
-    met) and ``kkt_residual``, the larger KKT violation at exit (max|RQ - I| at rho = 0).
+    This is :func:`lasso_gram`'s loop on Q as one column: each step Q <- soft(Q -
+    t (R + rho I - Q^-1), t rho/2) thresholds the off-diagonal only, so absent edges
+    come out exactly 0, and a Q with no Cholesky factor is rejected. It stops on
+    the KKT conditions at V = Q^-1 or after GLASSO_MAX_ITER steps; rho = 0 returns
+    inv(R). A given ``report`` dict receives ``iterations``, ``converged`` (KKT met)
+    and ``kkt_residual``, the larger KKT violation at exit (max|RQ - I| at rho = 0).
     """
     r = as_symmetric(r, "r")
     n = r.shape[0]
@@ -227,50 +242,33 @@ def glasso(r, cfg: GlassoConfig, report: dict | None = None) -> np.ndarray:
 
     half = cfg.rho / 2.0
     s = r + cfg.rho * np.eye(n)
-    q, w = np.diag(1.0 / np.diag(s)), np.diag(np.diag(s))
-    f = n + np.sum(np.log(np.diag(s)))  # -log det Q + tr(SQ)
-    t = 1.0 / np.max(np.diag(s)) ** 2
-    for iterations in range(GLASSO_MAX_ITER + 1):
-        # KKT at V = Q^-1, over max(1, max|R|) on the diagonal (V_ii - R_ii = rho) and rho/2
-        # off it (V_ij - R_ij in [-rho/2, rho/2], = (rho/2) sign Q_ij on the support)
-        d = w - r
-        diag = np.max(np.abs(np.diag(d) - cfg.rho)) / scale
-        np.fill_diagonal(d, 0.0)
-        sign = np.sign(q - np.diag(np.diag(q)))
-        off = np.max(np.abs(d - np.where(sign != 0, half * sign, np.clip(d, -half, half)))) / half
-        converged = bool(diag <= 1e-12 and off <= 1e-6)
-        if converged or iterations == GLASSO_MAX_ITER:
-            break
-        grad = s - w
-        for _ in range(60):
-            y = q - t * grad
-            q_new = _shrink(y, t * half)
-            np.fill_diagonal(q_new, np.diag(y))
-            dq = q_new - q
-            try:
-                chol = np.linalg.cholesky(q_new)
-                f_new = np.sum(s * q_new) - 2.0 * np.sum(np.log(np.diag(chol)))
-            except np.linalg.LinAlgError:
-                f_new = np.inf
-            # the slack lets a step that only rounding moves pass
-            if f_new <= (f + np.sum(grad * dq) + np.sum(dq * dq) / (2.0 * t)
-                         + 1e-12 * max(1.0, abs(f))):
-                break
-            t /= 2.0
-        else:
-            raise NumericalError(f"glasso step {iterations + 1} failed its test after 60 halvings")
-        inv = np.linalg.inv(chol)
-        w_new = inv.T @ inv
-        # alternating Barzilai-Borwein steps, long then short; the gradient changes by w - w_new
-        dg = w - w_new
-        curv = np.sum(dq * dg)
-        if curv > 0:
-            t = curv / np.sum(dg * dg) if iterations % 2 else np.sum(dq * dq) / curv
-        q, w, f = q_new, w_new, f_new
+    lam = half * (1.0 - np.eye(n)).reshape(-1, 1)  # the penalty weight of each Q_ij
+
+    def f(x, j):  # -log det Q + tr(SQ), with the Cholesky factor of Q
+        try:
+            chol = np.linalg.cholesky(x.reshape(n, n))
+        except np.linalg.LinAlgError:
+            return np.array([np.inf]), np.full_like(x, np.nan)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        return np.array([np.sum(s.reshape(-1, 1) * x) - logdet]), chol.reshape(-1, 1)
+
+    def grad(x, chol, j):  # S - Q^-1 from the Cholesky factor of Q
+        inv = np.linalg.inv(chol.reshape(n, n))
+        return (s - inv.T @ inv).reshape(-1, 1)  # inv' inv is exactly symmetric
+
+    # KKT at V = Q^-1, where the gradient is S - V: V_ii - R_ii = rho on the diagonal,
+    # to 1e-12 max(1, max|R|), and V_ij - R_ij in [-rho/2, rho/2] off it, to 1e-6 rho/2
+    unit = np.where(lam > 0, half, scale)
+    tol = unit * np.where(lam > 0, 1e-6, 1e-12)
+    x, iterations, converged = _prox_grad(
+        np.diag(1.0 / np.diag(s)).reshape(-1, 1), np.array([1.0 / np.max(np.diag(s)) ** 2]),
+        f, grad, lambda y, t, j: _shrink(y, t * lam),
+        lambda x, gr, j: (_l1_residual(x, gr, lam) <= tol).all(axis=0), GLASSO_MAX_ITER)
     if report is not None:
-        report.update(iterations=iterations, converged=converged,
-                      kkt_residual=float(max(diag, off)))
-    return q
+        res = _l1_residual(x, grad(x, np.linalg.cholesky(x.reshape(n, n)), None), lam)
+        report.update(iterations=int(iterations[0]), converged=bool(converged[0]),
+                      kkt_residual=float(np.max(res / unit)))
+    return x.reshape(n, n)
 
 
 def precision_matrix(r) -> np.ndarray:

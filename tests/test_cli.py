@@ -514,6 +514,21 @@ class TestRegressReport:
         assert report["metrics"]["unconverged_rows"] == []
 
 
+class TestSourcesReport:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_sparse_branch_reports_iterations(self, tmp_path, monkeypatch, inputs):
+        # five snapshots of eight vertices take the sparse branch, one lasso a row
+        monkeypatch.chdir(tmp_path)
+        for name in ("obs.csv", "sources.csv"):
+            io.write_matrix_csv(name, io.read_matrix_csv(inputs / name)[:, :5])
+        assert run("learn", "sources", "--obs", "obs.csv", "--sources", "sources.csv",
+                   "--rho", "0.1") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is True
+        assert report["metrics"]["unconverged_rows"] == []
+        assert 7 <= report["metrics"]["iterations"] < 7 * 1000
+
+
 class TestSmoothReport:
     def test_iterations_and_convergence(self, tmp_path, monkeypatch, inputs):
         from graphtopo.learning import smooth_learn
@@ -646,24 +661,26 @@ class TestDeterminism:
         # BLAS sums in an order that depends on its thread count, so a seeded
         # run is byte-identical only at one thread count; across counts the
         # README's contract is a relative 1e-10 of max|L|. p = n is the fewest
-        # snapshots with a full-rank correlation. On a 2-CPU x86-64 host with
-        # OpenBLAS 0.3.31, 1 and 2 threads gave 9,996 of the 10,000 entries of
-        # L different, by up to 2.8e-14 of max|L|.
+        # snapshots with a full-rank correlation; at p = 50 R has a 50-dimensional
+        # null space, which polyfit maps to 0 whatever basis LAPACK gives it. On a
+        # 2-CPU x86-64 host with OpenBLAS 0.3.31, 1 and 2 threads gave 9,996 of the
+        # 10,000 entries of L different at p = 100, by up to 2.8e-14 of max|L|.
         g = random_connected_graph(np.random.default_rng(100), 100, p_edge=0.04,
                                    w_low=0.5, w_high=1.5)
         io.write_graph_json(tmp_path / "g.json", g)
-        gen = ["gen", "signal", "--graph", "g.json", "--mode", "diffusion", "--seed", "1",
-               "--p", "100", "--params", '{"h": [0.3, 0.2, 0.5]}', "--out", "x.csv"]
-        laplacians = []
-        for threads in ("1", "2"):
-            learn = ["learn", "polyfit", "--obs", "x.csv", "--order", "2",
-                     "--out-l", f"l{threads}.csv", "--out-w", "w.csv"]
-            proc = run_python(dispatch_code(gen) + "; " + dispatch_code(learn),
-                              cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
-            laplacians.append(io.read_matrix_csv(tmp_path / f"l{threads}.csv"))
-        one, two = laplacians
-        assert np.max(np.abs(one - two)) <= 1e-10 * np.max(np.abs(one))
+        for p in ("100", "50"):
+            gen = ["gen", "signal", "--graph", "g.json", "--mode", "diffusion", "--seed", "1",
+                   "--p", p, "--params", '{"h": [0.3, 0.2, 0.5]}', "--out", "x.csv"]
+            laplacians = []
+            for threads in ("1", "2"):
+                learn = ["learn", "polyfit", "--obs", "x.csv", "--order", "2",
+                         "--out-l", f"l{threads}.csv", "--out-w", "w.csv"]
+                proc = run_python(dispatch_code(gen) + "; " + dispatch_code(learn),
+                                  cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                laplacians.append(io.read_matrix_csv(tmp_path / f"l{threads}.csv"))
+            one, two = laplacians
+            assert np.max(np.abs(one - two)) <= 1e-10 * np.max(np.abs(one)), p
 
 
 class TestCsvRoundTrip:

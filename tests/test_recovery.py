@@ -66,10 +66,12 @@ def test_regress_recovers_diffusion_graph():
     # Diffusion signals here are high-pass, not smooth: h(lambda) = 0.3 +
     # 0.2 lambda + 0.5 lambda^2 rises over the normalized spectrum, so
     # neighbours are anti-correlated and a vertex is regressed on them with
-    # negative weight. Measured: -(B + B') 0.922 (59 of 64 edges), with 10 of
-    # the 30 row lassos at max_iter.
+    # negative weight. Measured: -(B + B') 0.922 (59 of 64 edges), with all
+    # 30 row lassos converged.
     g = graph30()
-    b = neighborhood_regression(diffusion_signals(g), rho=0.05)
+    report: dict = {}
+    b = neighborhood_regression(diffusion_signals(g), rho=0.05, report=report)
+    assert report["converged"] is True
     assert top_k_edge_f1(-(b + b.T), g.w) >= 0.922 - 0.05
 
 
